@@ -19,7 +19,6 @@
 #include "radiobcast/paths/disjoint.h"
 #include "radiobcast/paths/packing.h"
 #include "radiobcast/protocols/determination.h"
-#include "radiobcast/protocols/pool.h"
 #include "radiobcast/util/rng.h"
 
 namespace {
@@ -40,17 +39,11 @@ void BM_CrashFloodFullTorus(benchmark::State& state) {
 BENCHMARK(BM_CrashFloodFullTorus)->Arg(1)->Arg(2)->Arg(3);
 
 // The structure-of-arrays trial engine at scale: a full crash-flood trial on
-// large toruses, behavior-backed (second Arg 0) vs SoA-pooled (second Arg 1).
-// The interleaved rows are the before/after evidence for the SoA engine —
-// bench/artifacts/BENCH_pr10.json curates them and scripts/bench_compare.py
-// gates the speedup. 1024x1024 runs pooled only: it is the million-node
-// headline row (the behavior engine's per-node heap objects make it
-// pointlessly slow at that size).
+// large toruses, with every honest node in one pool. The rows are the
+// million-node scale evidence — bench/artifacts/BENCH_pr10.json curates them
+// and scripts/bench_compare.py gates them.
 void BM_CrashFloodLargeTorus(benchmark::State& state) {
   const auto side = static_cast<std::int32_t>(state.range(0));
-  const bool soa = state.range(1) != 0;
-  const bool prev = soa_pools_enabled();
-  set_soa_pools_enabled(soa);
   SimConfig cfg;
   cfg.r = 1;
   cfg.width = cfg.height = side;
@@ -58,26 +51,19 @@ void BM_CrashFloodLargeTorus(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(run_simulation(cfg, FaultSet{}));
   }
-  set_soa_pools_enabled(prev);
   state.SetItemsProcessed(state.iterations() * cfg.width * cfg.height);
-  state.counters["soa"] = soa ? 1 : 0;
 }
 BENCHMARK(BM_CrashFloodLargeTorus)
-    ->Args({256, 0})
-    ->Args({256, 1})
-    ->Args({512, 0})
-    ->Args({512, 1})
-    ->Args({1024, 1})
+    ->Arg(256)
+    ->Arg(512)
+    ->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 
-// Same before/after shape for the two-hop Byzantine protocol, whose pool
-// replaces per-node maps/sets with packed open-addressing tables. Smaller
-// sides than crash-flood: the protocol does O(|2-hop nbd|) work per delivery.
+// The same for the two-hop Byzantine protocol, whose pool keeps its
+// relations in packed open-addressing tables. Smaller sides than
+// crash-flood: the protocol does O(|2-hop nbd|) work per delivery.
 void BM_BvTwoHopLargeTorus(benchmark::State& state) {
   const auto side = static_cast<std::int32_t>(state.range(0));
-  const bool soa = state.range(1) != 0;
-  const bool prev = soa_pools_enabled();
-  set_soa_pools_enabled(soa);
   SimConfig cfg;
   cfg.r = 1;
   cfg.width = cfg.height = side;
@@ -86,15 +72,11 @@ void BM_BvTwoHopLargeTorus(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(run_simulation(cfg, FaultSet{}));
   }
-  set_soa_pools_enabled(prev);
   state.SetItemsProcessed(state.iterations() * cfg.width * cfg.height);
-  state.counters["soa"] = soa ? 1 : 0;
 }
 BENCHMARK(BM_BvTwoHopLargeTorus)
-    ->Args({128, 0})
-    ->Args({128, 1})
-    ->Args({256, 0})
-    ->Args({256, 1})
+    ->Arg(128)
+    ->Arg(256)
     ->Unit(benchmark::kMillisecond);
 
 void BM_BvTwoHopFullTorus(benchmark::State& state) {

@@ -17,7 +17,7 @@ namespace rbcast {
 
 /// Writes the campaign as a JSON document:
 /// {
-///   "schema": "radiobcast-campaign-v4",
+///   "schema": "radiobcast-campaign-v5",
 ///   "trials": N,
 ///   "cells": [
 ///     {"label": ..., "params": {protocol, adversary, placement, width,
@@ -30,15 +30,20 @@ namespace rbcast {
 ///       "counters": {broadcasts_queued, spoofed_sends, committed_queued,
 ///        heard_queued, retransmission_copies, envelopes_delivered,
 ///        envelopes_dropped, commits, trial_retries, trial_timeouts,
-///        trial_failures, last_commit_round}},
+///        trial_failures, packets_sent, packets_retransmitted, packets_acked,
+///        duplicates_dropped, barrier_timeouts, barrier_wait_us, chaos_drops,
+///        chaos_delays, chaos_duplicates, chaos_partition_drops,
+///        node_restarts, peers_suspected, degraded_rounds,
+///        engine_bytes_peak, last_commit_round}},
 ///      "failures": [{"rep", "attempts", "seed", "kind", "what"}, ...]},
 ///     ...]
 /// }
 /// (v2 = v1 plus the per-cell summed observability counters; v3 adds the
 /// structured per-cell `failures` array and the three fault-tolerance
-/// counters. `aggregate.runs` counts completed trials only, so it can be
-/// below `params.reps` when failures were kept. Wall-clock phase timings
-/// remain excluded: they are not deterministic.)
+/// counters; v4 the runtime chaos/recovery counters; v5 engine_bytes_peak.
+/// `aggregate.runs` counts completed trials only, so it can be below
+/// `params.reps` when failures were kept. Wall-clock phase timings remain
+/// excluded: they are not deterministic.)
 void write_json(std::ostream& os, const CampaignResult& result);
 std::string to_json(const CampaignResult& result);
 

@@ -8,11 +8,8 @@
 #include "radiobcast/net/jamming.h"
 #include "radiobcast/net/network.h"
 #include "radiobcast/protocols/bv_indirect.h"
-#include "radiobcast/protocols/bv_two_hop.h"
 #include "radiobcast/protocols/byzantine.h"
 #include "radiobcast/protocols/common.h"
-#include "radiobcast/protocols/cpa.h"
-#include "radiobcast/protocols/crash_flood.h"
 #include "radiobcast/protocols/pool.h"
 #include "radiobcast/protocols/source.h"
 
@@ -76,31 +73,44 @@ std::optional<AdversaryKind> adversary_from_string(std::string_view name) {
 
 namespace {
 
-std::unique_ptr<NodeBehavior> make_honest(const SimConfig& cfg,
-                                          const Torus& torus) {
+/// The pool for `slots` honest nodes of this configuration, or nullptr for
+/// the protocols that have no pool (bv-4hop). Lives here, not in protocols/,
+/// because it is the one place SimConfig meets the pool classes.
+std::unique_ptr<NodePool> make_honest_pool(const SimConfig& cfg,
+                                           const Torus& torus,
+                                           std::int64_t slots) {
   const ProtocolParams params{cfg.t, cfg.source};
   switch (cfg.protocol) {
     case ProtocolKind::kCrashFlood:
-      return std::make_unique<CrashFloodBehavior>(params);
+      return std::make_unique<CrashFloodPool>(params, torus, slots);
     case ProtocolKind::kCpa:
-      return std::make_unique<CpaBehavior>(params);
+      return std::make_unique<CpaPool>(params, torus, slots);
     case ProtocolKind::kBvTwoHop:
-      return std::make_unique<BvTwoHopBehavior>(params, torus, cfg.r,
-                                                cfg.metric);
+      return std::make_unique<BvTwoHopPool>(params, torus, cfg.r, cfg.metric,
+                                            slots);
     case ProtocolKind::kBvIndirectFlood:
-      return std::make_unique<BvIndirectBehavior>(params, torus, cfg.r,
-                                                  cfg.metric,
-                                                  RelayMode::kFlood);
     case ProtocolKind::kBvIndirectEarmarked:
-      if (cfg.metric != Metric::kLInf) {
-        throw std::invalid_argument(
-            "earmarked relays require the L-infinity metric");
-      }
-      return std::make_unique<BvIndirectBehavior>(params, torus, cfg.r,
-                                                  cfg.metric,
-                                                  RelayMode::kEarmarked);
+      return nullptr;
   }
-  throw std::logic_error("unknown protocol");
+  return nullptr;
+}
+
+/// One honest node: a one-slot view of the protocol's pool, or the bv-4hop
+/// behavior.
+std::unique_ptr<NodeBehavior> make_honest(const SimConfig& cfg,
+                                          const Torus& torus) {
+  if (auto pool = make_honest_pool(cfg, torus, 1)) {
+    return std::make_unique<PoolSlotBehavior>(std::move(pool));
+  }
+  if (cfg.protocol == ProtocolKind::kBvIndirectEarmarked &&
+      cfg.metric != Metric::kLInf) {
+    throw std::invalid_argument(
+        "earmarked relays require the L-infinity metric");
+  }
+  return std::make_unique<BvIndirectBehavior>(
+      ProtocolParams{cfg.t, cfg.source}, torus, cfg.r, cfg.metric,
+      cfg.protocol == ProtocolKind::kBvIndirectFlood ? RelayMode::kFlood
+                                                     : RelayMode::kEarmarked);
 }
 
 std::unique_ptr<NodeBehavior> make_faulty(const SimConfig& cfg,
@@ -123,33 +133,6 @@ std::unique_ptr<NodeBehavior> make_faulty(const SimConfig& cfg,
       return std::make_unique<SilentBehavior>();
   }
   throw std::logic_error("unknown adversary");
-}
-
-/// Structure-of-arrays pool for the honest nodes of this configuration, or
-/// nullptr for protocols (or parameter corners) the pools do not cover —
-/// those fall back to per-node behaviors, same results either way
-/// (tests/test_pool_equivalence.cpp). Lives here, not in protocols/, because
-/// it is the one place SimConfig meets the pool classes.
-std::unique_ptr<NodePool> make_honest_pool(const SimConfig& cfg,
-                                           const Torus& torus) {
-  if (!soa_pools_enabled()) return nullptr;
-  const ProtocolParams params{cfg.t, cfg.source};
-  switch (cfg.protocol) {
-    case ProtocolKind::kCrashFlood:
-      return std::make_unique<CrashFloodPool>(params, torus);
-    case ProtocolKind::kCpa:
-      return std::make_unique<CpaPool>(params, torus);
-    case ProtocolKind::kBvTwoHop:
-      if (BvTwoHopPool::supported(torus, cfg.r, cfg.metric)) {
-        return std::make_unique<BvTwoHopPool>(params, torus, cfg.r,
-                                              cfg.metric);
-      }
-      return nullptr;  // tiny-torus / offset-exact paths stay per-node
-    case ProtocolKind::kBvIndirectFlood:
-    case ProtocolKind::kBvIndirectEarmarked:
-      return nullptr;  // evidence pools are arena-backed inside the behavior
-  }
-  return nullptr;
 }
 
 }  // namespace
@@ -226,7 +209,9 @@ SimResult run_simulation(const SimConfig& cfg, const FaultSet& faults,
   if (cfg.retransmissions != 1) {
     net.set_retransmissions(cfg.retransmissions);
   }
-  if (auto pool = make_honest_pool(cfg, torus)) net.set_pool(std::move(pool));
+  if (auto pool = make_honest_pool(cfg, torus, torus.node_count())) {
+    net.set_pool(std::move(pool));
+  }
   for (const Coord c : torus.all_coords()) {
     const NodeRole role = c == source         ? NodeRole::kSource
                           : faults.contains(c) ? NodeRole::kFaulty

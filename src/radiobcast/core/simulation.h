@@ -164,8 +164,12 @@ enum class NodeRole : std::uint8_t { kSource, kHonest, kFaulty };
 /// Builds the behavior a node of the given role runs under `config`. This is
 /// the single node-population recipe shared by the simulator and the
 /// networked runtime (runtime/node.h), which is what makes their verdicts
-/// comparable: same config + same roles = same protocol objects.
-/// Forward-declared NodeBehavior lives in net/backend.h.
+/// comparable: same config + same roles = same protocol code. An honest
+/// crash-flood, cpa or bv-2hop node is a one-slot view of the pool
+/// run_simulation installs (protocols/pool.h). Throws std::invalid_argument
+/// when the protocol does not support the geometry (bv-2hop and bv-4hop:
+/// L∞ r <= 7, L2 r <= 9). Forward-declared NodeBehavior lives in
+/// net/backend.h.
 class NodeBehavior;
 std::unique_ptr<NodeBehavior> make_node_behavior(const SimConfig& config,
                                                  const Torus& torus,
@@ -177,10 +181,11 @@ std::unique_ptr<NodeBehavior> make_node_behavior(const SimConfig& config,
 /// horizon.
 std::int64_t default_round_bound(const SimConfig& config);
 
-/// Runs one simulation. Throws std::invalid_argument if the fault set
-/// contains the source, or if the torus is too small for unambiguous
+/// Runs one simulation. Throws std::invalid_argument, before round 1, if the
+/// fault set contains the source, if the torus is too small for unambiguous
 /// wrap-around geometry (min side 4r+2; protocols reasoning across 2r-balls
-/// get sides of at least 8r+4 in the provided experiment configs).
+/// get sides of at least 8r+4 in the provided experiment configs), or if the
+/// protocol rejects the geometry (see make_node_behavior).
 SimResult run_simulation(const SimConfig& config, const FaultSet& faults);
 
 /// As above, with observability attachments (e.g. a RoundTrace sink).

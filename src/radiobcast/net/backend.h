@@ -11,8 +11,11 @@
 //   * runtime/node.h's RuntimeNode implements it over real UDP sockets with
 //     perfect links and a round synchronizer (docs/RUNTIME.md).
 //
-// The same protocol object therefore runs unmodified in simulation and in
-// the networked runtime; sim/runtime verdict equivalence is pinned by
+// The same protocol code therefore runs unmodified in simulation and in the
+// networked runtime. For crash-flood, cpa and bv-2hop the simulator drives
+// one pool over all honest nodes (net/pool.h) and the runtime hosts a
+// one-slot view of that pool per node (protocols/pool.h, PoolSlotBehavior).
+// Sim/runtime verdict equivalence is pinned by
 // tests/test_runtime_equivalence.cpp.
 
 #include <cstdint>

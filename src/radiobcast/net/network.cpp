@@ -144,11 +144,7 @@ void RadioNetwork::start() {
   if (started_) throw std::logic_error("RadioNetwork::start called twice");
   behavior_nodes_.clear();
   for (std::int64_t i = 0; i < torus_.node_count(); ++i) {
-    if (in_pool_[static_cast<std::size_t>(i)]) {
-      NodeContext ctx(*this, node_coords_[static_cast<std::size_t>(i)]);
-      pool_->on_start(ctx, static_cast<std::int32_t>(i));
-      continue;
-    }
+    if (in_pool_[static_cast<std::size_t>(i)]) continue;  // no start work
     NodeBehavior* b = behaviors_[static_cast<std::size_t>(i)].get();
     if (b == nullptr) {
       throw std::logic_error("node " + to_string(torus_.coord(
@@ -248,28 +244,12 @@ void RadioNetwork::run_round() {
     }
   }
   pending_.clear();
-  if (pool_ == nullptr) {
-    for (std::int64_t i = 0; i < torus_.node_count(); ++i) {
-      NodeContext ctx(*this, node_coords_[static_cast<std::size_t>(i)]);
-      behaviors_[static_cast<std::size_t>(i)]->on_round_end(ctx);
-    }
-  } else if (!pool_->wants_round_end()) {
-    // Pool nodes have no round-end work: sweep only the behavior nodes
-    // (node-index order preserved), turning the O(nodes)-per-round loop into
-    // O(non-pool nodes) — on a million-node torus, just the source + faults.
-    for (const std::int32_t i : behavior_nodes_) {
-      NodeContext ctx(*this, node_coords_[static_cast<std::size_t>(i)]);
-      behaviors_[static_cast<std::size_t>(i)]->on_round_end(ctx);
-    }
-  } else {
-    for (std::int64_t i = 0; i < torus_.node_count(); ++i) {
-      NodeContext ctx(*this, node_coords_[static_cast<std::size_t>(i)]);
-      if (in_pool_[static_cast<std::size_t>(i)]) {
-        pool_->on_round_end(ctx, static_cast<std::int32_t>(i));
-      } else {
-        behaviors_[static_cast<std::size_t>(i)]->on_round_end(ctx);
-      }
-    }
+  // Pools have no round-end work, so the sweep covers only the behavior
+  // nodes (node-index order) — on a million-node torus, just the source and
+  // the faults.
+  for (const std::int32_t i : behavior_nodes_) {
+    NodeContext ctx(*this, node_coords_[static_cast<std::size_t>(i)]);
+    behaviors_[static_cast<std::size_t>(i)]->on_round_end(ctx);
   }
   // Swap instead of move-assign so both buffers keep their capacity across
   // rounds (the steady-state allocation-free contract).

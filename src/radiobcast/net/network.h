@@ -96,12 +96,12 @@ class RadioNetwork final : public BroadcastBackend {
   std::optional<std::uint8_t> committed_value_of(Coord c) const;
   std::optional<std::int64_t> commit_round_of(Coord c) const;
 
-  /// Calls on_start on every node (node-index order). Must be called exactly
-  /// once, before the first run_round().
+  /// Calls on_start on every behavior node (node-index order). Must be
+  /// called exactly once, before the first run_round().
   void start();
 
   /// Delivers everything sent in the previous round, then runs on_round_end
-  /// for every node.
+  /// for every behavior node.
   void run_round();
 
   /// True when no transmissions are waiting for delivery.

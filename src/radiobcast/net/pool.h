@@ -2,13 +2,15 @@
 // Structure-of-arrays node dispatch (docs/PERF.md, "Memory model").
 //
 // A NodePool hosts the protocol state of MANY nodes in dense arrays indexed
-// by the CSR node index, replacing one heap-allocated NodeBehavior per node.
+// by the CSR node index, instead of one heap-allocated NodeBehavior per node.
 // The simulator delivers to pool-managed nodes through the pool (one object,
 // flat state) and to everything else — the source, adversaries, bespoke test
-// behaviors — through per-node NodeBehavior objects exactly as before. The
-// pool receives the same callbacks in the same order with the same
-// NodeContext, so a pool-backed trial is byte-identical to a behavior-backed
-// one; tests/test_pool_equivalence.cpp and the golden SHA-256 suite pin that.
+// behaviors — through per-node NodeBehavior objects. The pool receives the
+// same on_receive callbacks in the same order with the same NodeContext a
+// per-node behavior would. Hosts that run one node at a time (the networked
+// runtime) drive a one-slot view of the same pool, so both backends run one
+// implementation; tests/test_pool_equivalence.cpp and the golden SHA-256
+// suite pin that a one-slot-per-node network and a shared pool agree.
 //
 // Concrete pools live in protocols/pool.h (they depend on protocol
 // machinery); this header is the net-layer contract only.
@@ -20,24 +22,17 @@
 
 namespace rbcast {
 
-/// Flat multi-node protocol state. All callbacks mirror NodeBehavior's, with
-/// the dense node index added so implementations address plain arrays.
+/// Flat multi-node protocol state. Callbacks mirror NodeBehavior's, with
+/// the dense node index added so implementations address plain arrays. Pools
+/// are purely message-driven: they have no start or round-end work, so the
+/// network never sweeps pool nodes outside deliveries.
 class NodePool {
  public:
   virtual ~NodePool() = default;
 
-  /// Called once per managed node before the first round (node-index order).
-  virtual void on_start(NodeContext& /*ctx*/, std::int32_t /*node*/) {}
-
   /// Called for each transmission heard by a managed node.
   virtual void on_receive(NodeContext& ctx, std::int32_t node,
                           const Envelope& env) = 0;
-
-  /// Called once per round per managed node — but only when
-  /// wants_round_end() is true: pools with no round-end work opt out and the
-  /// network skips the whole O(nodes)-per-round sweep for them.
-  virtual void on_round_end(NodeContext& /*ctx*/, std::int32_t /*node*/) {}
-  virtual bool wants_round_end() const { return false; }
 
   virtual std::optional<std::uint8_t> committed_value(
       std::int32_t node) const = 0;

@@ -1,6 +1,7 @@
 #include "radiobcast/protocols/bv_indirect.h"
 
 #include <algorithm>
+#include <array>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -13,13 +14,11 @@ namespace {
 
 constexpr std::size_t kMaxRelayers = 3;  // "up to three intermediate nodes"
 
-std::int32_t checked_radius(std::int32_t r) {
-  if (r < 1 || r > BvIndirectBehavior::kMaxReportKeyRadius) {
+std::int32_t checked_radius(std::int32_t r, Metric m) {
+  if (!CenterTable::supported(r, m)) {
     throw std::invalid_argument(
-        "BvIndirectBehavior: radius " + std::to_string(r) +
-        " outside [1, " +
-        std::to_string(BvIndirectBehavior::kMaxReportKeyRadius) +
-        "] (packed report keys would collide)");
+        "BvIndirectBehavior: radius " + std::to_string(r) + " " +
+        to_string(m) + " unsupported (L-inf r <= 7, L2 r <= 9)");
   }
   return r;
 }
@@ -27,7 +26,7 @@ std::int32_t checked_radius(std::int32_t r) {
 /// Packed dedup key of a report: chain length plus 8-bit two's-complement
 /// components of each origin-relative delta. Plausible chains keep every
 /// component within 3r (each hop moves at most r), so the encoding is
-/// injective for r <= 42 — far beyond the r <= 7 the mask id space supports.
+/// injective for every supported radius (3r <= 27 < 128).
 std::uint64_t pack_report_key(
     const std::array<Offset, RelayerChain::kCapacity>& rel, std::size_t n) {
   std::uint64_t key = n;
@@ -38,13 +37,6 @@ std::uint64_t pack_report_key(
           static_cast<std::uint64_t>(static_cast<std::uint8_t>(rel[i].dy));
   }
   return key;
-}
-
-/// Injective 32-bit packing of a small offset (16-bit components).
-std::uint32_t pack_offset32(Offset o) {
-  return (static_cast<std::uint32_t>(static_cast<std::uint16_t>(o.dx))
-          << 16) |
-         static_cast<std::uint16_t>(o.dy);
 }
 
 /// Receiver-independent validation of one HEARD transmission, cached
@@ -120,18 +112,13 @@ BvIndirectBehavior::BvIndirectBehavior(const ProtocolParams& params,
                                        const Torus& torus, std::int32_t r,
                                        Metric m, RelayMode mode)
     : params_(params),
-      r_(checked_radius(r)),
+      r_(checked_radius(r, m)),
       m_(m),
       mode_(mode),
-      table_(NeighborhoodTable::get(r, m)),
       earmarks_(mode == RelayMode::kEarmarked ? &EarmarkPlan::get(r)
                                               : nullptr),
-      center_table_(CenterTable::supported(r, m)
-                        ? &CenterTable::get(r, m, torus.width(),
-                                            torus.height())
-                        : nullptr),
+      center_table_(CenterTable::get(r, m, torus.width(), torus.height())),
       digest_seed_(det_digest_seed(r, m, params.t)),
-      offset_exact_(torus.width() >= 8 * r && torus.height() >= 8 * r),
       counter_(torus, r, m, params.t) {}
 
 void BvIndirectBehavior::commit(NodeContext& ctx, std::uint8_t value) {
@@ -146,12 +133,7 @@ void BvIndirectBehavior::determine(NodeContext& ctx, Coord origin,
                                    std::uint8_t value) {
   if (const auto fired = counter_.record(origin, value)) commit(ctx, *fired);
   // Evidence for a determined pair is no longer needed.
-  const std::uint64_t key = origin_value_key(ctx.torus().wrap(origin), value);
-  if (center_table_ != nullptr) {
-    fast_evidence_.erase(key);
-  } else {
-    evidence_.erase(key);
-  }
+  evidence_.erase(origin_value_key(ctx.torus().wrap(origin), value));
 }
 
 void BvIndirectBehavior::on_receive(NodeContext& ctx, const Envelope& env) {
@@ -182,10 +164,6 @@ void BvIndirectBehavior::handle_committed(NodeContext& ctx,
 }
 
 void BvIndirectBehavior::handle_heard(NodeContext& ctx, const Envelope& env) {
-  if (center_table_ == nullptr) {
-    handle_heard_legacy(ctx, env);
-    return;
-  }
   const Torus& torus = ctx.torus();
   const Message& msg = env.msg;
   if (msg.relayers.empty() || msg.relayers.size() > kMaxRelayers) return;
@@ -204,7 +182,7 @@ void BvIndirectBehavior::handle_heard(NodeContext& ctx, const Envelope& env) {
   // reused across its ~|nbd| deliveries (see HeardValidation above).
   HeardValidation& val = g_heard_validation;
   if (!val.matches(torus, r_, m_, env.sender, msg)) {
-    val.fill(torus, r_, m_, *center_table_, env.sender, msg);
+    val.fill(torus, r_, m_, center_table_, env.sender, msg);
   }
   if (!val.plausible) return;
 
@@ -218,12 +196,12 @@ void BvIndirectBehavior::handle_heard(NodeContext& ctx, const Envelope& env) {
   const std::uint8_t v = msg.value & 1;
   if (recording && !counter_.is_determined(val.origin, v)) {
     const std::uint64_t key = origin_value_key(val.origin, v);
-    auto it = fast_evidence_.find(key);
-    if (it == fast_evidence_.end()) {
-      it = fast_evidence_
-               .emplace(key, FastEvidence{val.origin,
+    auto it = evidence_.find(key);
+    if (it == evidence_.end()) {
+      it = evidence_
+               .emplace(key, PairEvidence{val.origin,
                                           IncrementalDetermination(
-                                              *center_table_, params_.t,
+                                              center_table_, params_.t,
                                               kReportsPerFirstRelayer,
                                               digest_seed_)})
                .first;
@@ -255,195 +233,10 @@ void BvIndirectBehavior::handle_heard(NodeContext& ctx, const Envelope& env) {
     // the claimed origin, so the self delta may fall outside the table
     // span — containing_or_empty maps that (correctly) to "no center".
     CenterSet admissible = val.chain_centers;
-    admissible &= center_table_->containing_or_empty(self_rel);
+    admissible &= center_table_.containing_or_empty(self_rel);
     if (!admissible.any()) return;
   }
   ctx.broadcast(make_heard(extended, val.origin, v));
-}
-
-/// Fallback for radii the fast engine does not support (r > 7): the original
-/// fully per-receiver path.
-void BvIndirectBehavior::handle_heard_legacy(NodeContext& ctx,
-                                             const Envelope& env) {
-  const Torus& torus = ctx.torus();
-  const Message& msg = env.msg;
-  if (msg.relayers.empty() || msg.relayers.size() > kMaxRelayers) return;
-  // The outermost relayer must be the actual transmitter (no spoofing).
-  if (torus.wrap(msg.relayers.back()) != env.sender) return;
-
-  const Coord origin = torus.wrap(msg.origin);
-  const Coord self = ctx.self();
-  if (origin == self) return;
-
-  // Plausibility of the claimed chain: consecutive hops within radius,
-  // all nodes distinct, and the chain does not pass through us. The
-  // origin-relative deltas are captured alongside for the dedup key, the
-  // earmark lookup, and the offset-space geometry below.
-  RelayerChain chain;
-  std::array<Offset, RelayerChain::kCapacity> rel{};
-  Coord prev = origin;
-  for (const Coord raw : msg.relayers) {
-    const Coord c = torus.wrap(raw);
-    if (c == origin || c == self) return;
-    if (std::find(chain.begin(), chain.end(), c) != chain.end()) return;
-    if (!torus.within(prev, c, r_, m_)) return;
-    rel[chain.size()] = torus.delta(origin, c);
-    chain.push_back(c);
-    prev = c;
-  }
-
-  const std::uint8_t v = msg.value & 1;
-  const std::uint64_t key = origin_value_key(origin, v);
-  // Evidence only feeds our own commit decision; relay duty (below) is what
-  // others rely on, so post-commit we stop recording but keep relaying
-  // (unless full tracking is requested).
-  if ((!committed_.has_value() || params_.track_after_commit) &&
-      !counter_.is_determined(origin, v)) {
-    accept_report_legacy(key, origin, chain, rel);
-  }
-
-  // Relay with ourselves appended, if depth allows and the extended chain is
-  // still potentially useful.
-  if (chain.size() >= kMaxRelayers) return;
-  RelayerChain extended = chain;
-  extended.push_back(self);
-  rel[chain.size()] = torus.delta(origin, self);
-  const std::size_t n = extended.size();
-  if (mode_ == RelayMode::kEarmarked) {
-    if (!earmarks_->allows(std::span<const Offset>(rel.data(), n))) return;
-  } else {
-    // Usefulness filter: a decider only ever accepts a chain whose nodes plus
-    // the committer fit in one neighborhood, so drop extensions that already
-    // cannot.
-    bool fits = false;
-    if (offset_exact_) {
-      for (const Offset off : table_.offsets()) {
-        bool all_in = true;
-        for (std::size_t i = 0; i < n; ++i) {
-          if (rel[i] == off || !within_radius(rel[i] - off, r_, m_)) {
-            all_in = false;
-            break;
-          }
-        }
-        if (all_in) {
-          fits = true;
-          break;
-        }
-      }
-    } else {
-      for (const Offset off : table_.offsets()) {
-        const Coord c = torus.wrap(origin + off);
-        bool all_in = true;
-        for (const Coord node : extended) {
-          if (node == c || !torus.within(c, node, r_, m_)) {
-            all_in = false;
-            break;
-          }
-        }
-        if (all_in) {
-          fits = true;
-          break;
-        }
-      }
-    }
-    if (!fits) return;
-  }
-  ctx.broadcast(make_heard(extended, origin, v));
-}
-
-void BvIndirectBehavior::accept_report_legacy(
-    std::uint64_t key, Coord origin, const RelayerChain& chain,
-    const std::array<Offset, RelayerChain::kCapacity>& rel) {
-  Evidence& ev = evidence_[key];
-  ev.origin = origin;
-  auto& per_first = ev.per_first_relayer[chain.front()];
-  if (per_first < kReportsPerFirstRelayer &&
-      ev.dedup.insert(pack_report_key(rel, chain.size())).second) {
-    ++per_first;
-    Evidence::Report report;
-    report.relayers = chain;
-    report.rel = rel;
-    bool mask_ok = true;
-    for (const Coord c : chain) {
-      auto bit = ev.node_bits.find(c);
-      if (bit == ev.node_bits.end()) {
-        bit = ev.node_bits.emplace(c, static_cast<int>(ev.bit_coords.size()))
-                  .first;
-        ev.bit_coords.push_back(c);
-      }
-      if (bit->second >= static_cast<int>(report.mask.size())) {
-        // Id space exhausted (cannot happen for r <= 7). Dropping the
-        // report is conservative: it can only delay determination, never
-        // let conflicting reports pass as disjoint.
-        mask_ok = false;
-        break;
-      }
-      report.mask.set(static_cast<std::size_t>(bit->second));
-    }
-    if (mask_ok) {
-      ev.reports.push_back(report);
-      dirty_.insert(key);
-    }
-  }
-}
-
-bool BvIndirectBehavior::try_determine_from_reports(const Torus& torus,
-                                                    Coord origin,
-                                                    const Evidence& ev) const {
-  if (static_cast<std::int64_t>(ev.reports.size()) < params_.t + 1) {
-    return false;
-  }
-  for (const Offset off : table_.offsets()) {
-    // Candidate center c = origin + off (so origin lies in nbd(c)). Collect
-    // masks of the reports fully contained in nbd(c) into reusable scratch.
-    scratch_masks_.clear();
-    scratch_first_.clear();
-    if (offset_exact_) {
-      for (const auto& report : ev.reports) {
-        bool inside = true;
-        const std::size_t n = report.relayers.size();
-        for (std::size_t i = 0; i < n; ++i) {
-          if (report.rel[i] == off ||
-              !within_radius(report.rel[i] - off, r_, m_)) {
-            inside = false;
-            break;
-          }
-        }
-        if (inside) {
-          scratch_masks_.push_back(report.mask);
-          scratch_first_.push_back(pack_offset32(report.rel[0]));
-        }
-      }
-    } else {
-      const Coord c = torus.wrap(origin + off);
-      for (const auto& report : ev.reports) {
-        bool inside = true;
-        for (const Coord node : report.relayers) {
-          if (node == c || !torus.within(c, node, r_, m_)) {
-            inside = false;
-            break;
-          }
-        }
-        if (inside) {
-          scratch_masks_.push_back(report.mask);
-          scratch_first_.push_back(pack_offset32(report.rel[0]));
-        }
-      }
-    }
-    // Disjoint reports need distinct first relayers: a cheap upper bound
-    // that skips hopeless (and potentially expensive) packing calls.
-    std::sort(scratch_first_.begin(), scratch_first_.end());
-    const auto distinct_first = std::distance(
-        scratch_first_.begin(),
-        std::unique(scratch_first_.begin(), scratch_first_.end()));
-    if (static_cast<std::int64_t>(distinct_first) < params_.t + 1) {
-      continue;
-    }
-    const PackingResult packing = max_disjoint_packing(
-        scratch_masks_, static_cast<int>(params_.t + 1));
-    if (packing.count >= params_.t + 1) return true;
-  }
-  return false;
 }
 
 void BvIndirectBehavior::on_round_end(NodeContext& ctx) {
@@ -451,38 +244,21 @@ void BvIndirectBehavior::on_round_end(NodeContext& ctx) {
     // Dead state after committing; reclaim it.
     dirty_.clear();
     evidence_.clear();
-    fast_evidence_.clear();
     return;
   }
   if (dirty_.empty()) return;
-  const Torus& torus = ctx.torus();
-  // Move out: determine() mutates the evidence maps and new dirt belongs to
+  // Move out: determine() mutates the evidence map and new dirt belongs to
   // the next round anyway.
   scratch_keys_.clear();
   scratch_keys_.insert(scratch_keys_.end(), dirty_.begin(), dirty_.end());
   std::sort(scratch_keys_.begin(), scratch_keys_.end());  // deterministic
   dirty_.clear();
-  if (center_table_ != nullptr) {
-    PackingMemo& memo = PackingMemo::thread_instance();
-    for (const std::uint64_t key : scratch_keys_) {
-      const auto it = fast_evidence_.find(key);
-      if (it == fast_evidence_.end()) continue;  // already determined
-      if (it->second.det.evaluate(memo)) {
-        determine(ctx, it->second.origin,
-                  static_cast<std::uint8_t>(key & 1));
-      }
-    }
-    return;
-  }
+  PackingMemo& memo = PackingMemo::thread_instance();
   for (const std::uint64_t key : scratch_keys_) {
     const auto it = evidence_.find(key);
     if (it == evidence_.end()) continue;  // already determined
-    const std::uint8_t v = static_cast<std::uint8_t>(key & 1);
-    Evidence& ev = it->second;
-    if (ev.reports.empty() || ev.reports.size() == ev.evaluated_at) continue;
-    ev.evaluated_at = ev.reports.size();
-    if (try_determine_from_reports(torus, ev.origin, ev)) {
-      determine(ctx, ev.origin, v);
+    if (it->second.det.evaluate(memo)) {
+      determine(ctx, it->second.origin, static_cast<std::uint8_t>(key & 1));
     }
   }
 }

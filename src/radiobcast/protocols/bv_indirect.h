@@ -25,16 +25,13 @@
 //                (protocols/earmark.h); same commit outcomes, far less
 //                traffic. L∞ only.
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "radiobcast/grid/neighborhood.h"
 #include "radiobcast/net/network.h"
-#include "radiobcast/paths/packing.h"
 #include "radiobcast/protocols/common.h"
 #include "radiobcast/protocols/determination.h"
 
@@ -46,15 +43,8 @@ enum class RelayMode : std::uint8_t { kFlood, kEarmarked };
 
 class BvIndirectBehavior final : public NodeBehavior {
  public:
-  /// Largest radius for which the packed uint64 HEARD dedup key
-  /// (pack_report_key) is injective: chain components are bounded by 3r and
-  /// encoded in 8-bit two's complement, so 3r <= 126. The constructor
-  /// rejects larger radii loudly — silent key collisions could merge
-  /// distinct reports and delay (never forge) determinations, but only
-  /// nondeterministically enough to be worth forbidding outright.
-  static constexpr std::int32_t kMaxReportKeyRadius = 42;
-
-  /// Throws std::invalid_argument unless 1 <= r <= kMaxReportKeyRadius.
+  /// Throws std::invalid_argument unless CenterTable::supported(r, m) — the
+  /// incremental determination engine covers L∞ r <= 7 and L2 r <= 9.
   BvIndirectBehavior(const ProtocolParams& params, const Torus& torus,
                      std::int32_t r, Metric m, RelayMode mode);
 
@@ -78,7 +68,8 @@ class BvIndirectBehavior final : public NodeBehavior {
   }
 
  private:
-  /// Evidence about one (origin, value) pair.
+  /// Evidence about one (origin, value) pair, kept by the incremental
+  /// determination engine (protocols/determination.h).
   ///
   /// Growth is bounded against report-flooding adversaries: at most
   /// kReportsPerFirstRelayer reports are kept per first relayer (the first
@@ -87,79 +78,37 @@ class BvIndirectBehavior final : public NodeBehavior {
   /// first relayers, so the cap never starves an honest determination; junk
   /// beyond the cap is dropped, which can only delay liveness, never break
   /// safety.
-  struct Evidence {
+  struct PairEvidence {
     Coord origin{};  // cached (keys are one-way hashes of the pair)
-    // Bit index per relayer coordinate seen in reports for this key.
-    std::unordered_map<Coord, int> node_bits;
-    std::vector<Coord> bit_coords;  // inverse of node_bits
-    struct Report {
-      RelayerChain relayers;
-      // Origin-relative torus deltas of the relayers (rel[i] = delta(origin,
-      // relayers[i])): the geometry tests below run in offset space with no
-      // per-node wrap calls, and the packed dedup key is built from these.
-      std::array<Offset, RelayerChain::kCapacity> rel{};
-      NodeMask mask;
-    };
-    std::vector<Report> reports;
-    // Deduplicated by the packed origin-relative encoding of the chain (a
-    // uint64; see pack_report_key in the .cpp) — no per-HEARD string builds.
-    std::unordered_set<std::uint64_t> dedup;
-    std::unordered_map<Coord, int> per_first_relayer;
-    // Re-evaluation memo: reports.size() at the last on_round_end check.
-    std::size_t evaluated_at = 0;
+    IncrementalDetermination det;
   };
 
   static constexpr int kReportsPerFirstRelayer = 8;
 
-  /// Incremental-engine evidence for one (origin, value) pair (used when
-  /// CenterTable supports (r, m) — every r <= 7; Evidence above is the
-  /// legacy fallback for larger radii).
-  struct FastEvidence {
-    Coord origin{};
-    IncrementalDetermination det;
-  };
-
   void handle_committed(NodeContext& ctx, const Envelope& env);
   void handle_heard(NodeContext& ctx, const Envelope& env);
-  void handle_heard_legacy(NodeContext& ctx, const Envelope& env);
-  void accept_report_legacy(
-      std::uint64_t key, Coord origin, const RelayerChain& chain,
-      const std::array<Offset, RelayerChain::kCapacity>& rel);
   void determine(NodeContext& ctx, Coord origin, std::uint8_t value);
   void commit(NodeContext& ctx, std::uint8_t value);
-  bool try_determine_from_reports(const Torus& torus, Coord origin,
-                                  const Evidence& ev) const;
 
   ProtocolParams params_;
   std::int32_t r_;
   Metric m_;
   RelayMode mode_;
-  // Hoisted per-message lookups: the neighborhood table and (for kEarmarked)
-  // the relay plan are resolved once at construction instead of through a
+  // Hoisted per-message lookups: the relay plan (kEarmarked) and the
+  // center table are resolved once at construction instead of through a
   // mutex-guarded cache on every HEARD.
-  const NeighborhoodTable& table_;
   const EarmarkPlan* earmarks_;  // non-null iff mode == kEarmarked
-  // Incremental determination engine (protocols/determination.h): non-null
-  // iff CenterTable::supported(r, m). When set, evidence lives in
-  // fast_evidence_ and relay-usefulness tests are single bitset ANDs; the
-  // legacy evidence_ path below only serves 8 <= r <= kMaxReportKeyRadius.
-  const CenterTable* center_table_;
+  // Candidate-center containment table: relay-usefulness tests are single
+  // bitset ANDs, and evidence lives in evidence_.
+  const CenterTable& center_table_;
   std::uint64_t digest_seed_;
-  // True when the torus is large enough (width, height >= 8r) that offset
-  // arithmetic up to 4r never wraps ambiguously, so containment tests can
-  // run on origin-relative deltas; tiny tori fall back to coord-space tests.
-  const bool offset_exact_;
   std::optional<std::uint8_t> committed_;
   std::optional<std::int64_t> commit_round_;
   NeighborhoodCommitCounter counter_;
   std::unordered_map<Coord, std::uint8_t> first_committed_;
-  std::unordered_map<std::uint64_t, Evidence> evidence_;  // by (origin,value)
-  std::unordered_map<std::uint64_t, FastEvidence> fast_evidence_;
-  std::unordered_set<std::uint64_t> dirty_;               // keys to re-check
-  // Reusable scratch for try_determine_from_reports / on_round_end; cleared
-  // per use, capacity retained (no per-candidate-center allocations).
-  mutable std::vector<NodeMask> scratch_masks_;
-  mutable std::vector<std::uint32_t> scratch_first_;  // packed first relayers
+  std::unordered_map<std::uint64_t, PairEvidence> evidence_;  // (origin,value)
+  std::unordered_set<std::uint64_t> dirty_;                   // keys to re-check
+  // Reusable on_round_end scratch; cleared per use, capacity retained.
   std::vector<std::uint64_t> scratch_keys_;
 };
 

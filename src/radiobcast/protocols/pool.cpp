@@ -1,23 +1,12 @@
 #include "radiobcast/protocols/pool.h"
 
-#include <atomic>
+#include <stdexcept>
+#include <string>
 
 namespace rbcast {
 
-namespace {
-std::atomic<bool> g_soa_pools_enabled{true};
-}  // namespace
-
-void set_soa_pools_enabled(bool enabled) {
-  g_soa_pools_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool soa_pools_enabled() {
-  return g_soa_pools_enabled.load(std::memory_order_relaxed);
-}
-
 // ---------------------------------------------------------------------------
-// CrashFloodPool — mirrors CrashFloodBehavior::on_receive exactly.
+// CrashFloodPool
 
 void CrashFloodPool::on_receive(NodeContext& ctx, std::int32_t node,
                                 const Envelope& env) {
@@ -29,7 +18,7 @@ void CrashFloodPool::on_receive(NodeContext& ctx, std::int32_t node,
 }
 
 // ---------------------------------------------------------------------------
-// CpaPool — mirrors CpaBehavior.
+// CpaPool
 
 void CpaPool::commit(NodeContext& ctx, std::int32_t node, std::uint8_t value) {
   state_.set(node, value, ctx.round());
@@ -60,19 +49,37 @@ void CpaPool::on_receive(NodeContext& ctx, std::int32_t node,
 }
 
 // ---------------------------------------------------------------------------
-// BvTwoHopPool — mirrors BvTwoHopBehavior on the CenterTable path, including
-// the inlined NeighborhoodCommitCounter (protocols/common.cpp).
+// BvTwoHopPool, with the NeighborhoodCommitCounter rule (protocols/common.cpp)
+// inlined.
+
+namespace {
+
+const Torus& checked_two_hop_torus(const Torus& torus, std::int32_t r,
+                                   Metric m) {
+  if (!BvTwoHopPool::supported(torus, r, m)) {
+    throw std::invalid_argument(
+        "bv-2hop: unsupported geometry (radius " + std::to_string(r) + " " +
+        to_string(m) + ", torus " + std::to_string(torus.width()) + "x" +
+        std::to_string(torus.height()) +
+        "); supported: L-inf r <= 7 or L2 r <= 9, sides over 2r, under 2^21 "
+        "nodes");
+  }
+  return torus;
+}
+
+}  // namespace
 
 BvTwoHopPool::BvTwoHopPool(const ProtocolParams& params, const Torus& torus,
-                           std::int32_t r, Metric m)
+                           std::int32_t r, Metric m, std::int64_t slots)
     : t_(params.t),
       track_after_commit_(params.track_after_commit),
       source_(torus.wrap(params.source)),
       r_(r),
       m_(m),
+      torus_(checked_two_hop_torus(torus, r, m)),
       table_(NeighborhoodTable::get(r, m)),
       center_table_(CenterTable::get(r, m, torus.width(), torus.height())),
-      state_(torus.node_count()) {}
+      state_(slots) {}
 
 void BvTwoHopPool::commit(NodeContext& ctx, std::int32_t node,
                           std::uint8_t value) {
@@ -138,6 +145,9 @@ void BvTwoHopPool::handle_committed(NodeContext& ctx, std::int32_t node,
 
 void BvTwoHopPool::handle_heard(NodeContext& ctx, std::int32_t node,
                                 const Envelope& env) {
+  // The two-hop protocol has no relay duty for HEARD messages, and evidence
+  // only feeds our own commit decision: once committed, skip everything
+  // (unless full tracking is requested).
   if (state_.committed(node) && !track_after_commit_) return;
   const Torus& torus = ctx.torus();
   const Message& msg = env.msg;
@@ -161,9 +171,12 @@ void BvTwoHopPool::handle_heard(NodeContext& ctx, std::int32_t node,
   const std::uint8_t v = msg.value & 1;
   if (determined_.contains(nov_key(node, origin_idx, v))) return;
 
-  // Count this reporter toward every candidate center whose neighborhood
-  // contains both committer and reporter — the CenterTable bitset walk of
-  // BvTwoHopBehavior::handle_heard, with the counts block arena-allocated.
+  // Count this reporter toward every candidate center c whose neighborhood
+  // contains both the committer and the reporter (c itself excluded from
+  // nbd(c)). t+1 distinct reporters under one center are t+1 node-disjoint
+  // evidence chains confined to that neighborhood. The centers containing
+  // the reporter's delta d are precomputed (the table bakes in this torus's
+  // fold), so this walks one bitset; the counts block is arena-allocated.
   std::uint32_t& block = reporter_blocks_.slot(nov_key(node, origin_idx, v));
   if (block == 0) {
     block = static_cast<std::uint32_t>(++arena_blocks_);

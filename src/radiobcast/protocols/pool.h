@@ -1,25 +1,27 @@
 #pragma once
 // Structure-of-arrays protocol pools (docs/PERF.md, "Memory model").
 //
-// Per-trial protocol state used to be one heap object per node, full of
-// std::map / std::set members — at a million nodes the resident set and the
-// cache misses of that layout, not the algorithm, capped practical torus
-// sizes. The pools below keep the SAME protocol logic (statement for
-// statement — the golden SHA-256 suite proves byte-identical output) but lay
-// the state out flat:
+// Each pool below is the only implementation of its protocol. Per-trial
+// protocol state used to be one heap object per node, full of std::map /
+// std::set members — at a million nodes the resident set and the cache
+// misses of that layout, not the algorithm, capped practical torus sizes.
+// The pools lay the state out flat:
 //
 //   * dense std::vector arrays indexed by the CSR node index for per-node
 //     phase state (committed value, commit round, claim tallies);
 //   * one bit per node for commit flags (DenseBits);
 //   * packed-key open-addressing hash tables (PackedKeySet / PackedU32Map)
-//     for the relations the per-node maps/sets used to hold — keys pack
-//     (node, peer, value) into one uint64, and the tables are only ever
-//     probed, never iterated, so their layout cannot leak into results;
+//     for the per-node relations — keys pack (node, peer, value) into one
+//     uint64, and the tables are only ever probed, never iterated, so their
+//     layout cannot leak into results;
 //   * a shared arena for the per-(node, origin, value) reporter-count blocks
 //     of the two-hop protocol (one contiguous K-slot block per active pair).
 //
-// A pool manages the honest nodes of one trial; the source and faulty nodes
-// keep their per-node behaviors (net/pool.h documents the dispatch split).
+// A pool built over a whole torus manages the honest nodes of one trial; the
+// source and faulty nodes keep their per-node behaviors (net/pool.h
+// documents the dispatch split). Hosts that run one node at a time — the
+// networked runtime and the crash-at-round adversary — drive a one-slot pool
+// through PoolSlotBehavior instead, so they run the simulator's code.
 
 #include <cstdint>
 #include <memory>
@@ -35,12 +37,10 @@
 
 namespace rbcast {
 
-/// Process-wide switch for the SoA pools (default on). run_simulation builds
-/// pools only while enabled; turning it off forces the per-node behavior
-/// path. Exists for the interleaved before/after benchmarks and for the
-/// equivalence tests that prove both paths produce identical results.
-void set_soa_pools_enabled(bool enabled);
-bool soa_pools_enabled();
+/// Always true: run_simulation installs a pool for every protocol that has
+/// one. Kept for bench/ledger/replay.cpp, which mirrors run_simulation's
+/// node population and asks before building its pool.
+inline bool soa_pools_enabled() { return true; }
 
 /// One bit per node.
 class DenseBits {
@@ -223,14 +223,23 @@ class CommitArrays {
   std::vector<std::int32_t> round_;
 };
 
-/// SoA twin of CrashFloodBehavior (protocols/crash_flood.h). Per-node state:
-/// one commit bit + value byte + round — ~6 bytes/node.
+/// Crash-stop broadcast (Section VII).
+///
+/// "When only crash-stop failures are admissible, no special protocol is
+/// required. Each node that receives a value commits to it, re-broadcasts it
+/// once for the benefit of others, and then may terminate." Achievability is
+/// pure reachability; Theorems 4 and 5 pin the threshold at t = r(2r+1) in
+/// L∞. Per-node state: one commit bit + value byte + round — ~6 bytes/node.
 class CrashFloodPool final : public NodePool {
  public:
+  /// A pool of `slots` nodes; the two-argument form covers every node of
+  /// the torus. Crash-flood ignores t, the source and the torus; the
+  /// parameters keep the pool constructors uniform.
+  CrashFloodPool(const ProtocolParams& /*params*/, const Torus& /*torus*/,
+                 std::int64_t slots)
+      : state_(slots) {}
   CrashFloodPool(const ProtocolParams& params, const Torus& torus)
-      : state_(torus.node_count()) {
-    (void)params;  // crash-flood ignores t/source; kept for factory symmetry
-  }
+      : CrashFloodPool(params, torus, torus.node_count()) {}
 
   void on_receive(NodeContext& ctx, std::int32_t node,
                   const Envelope& env) override;
@@ -247,15 +256,29 @@ class CrashFloodPool final : public NodePool {
   CommitArrays state_;
 };
 
-/// SoA twin of CpaBehavior (protocols/cpa.h): dense claim tallies per value
-/// plus a packed (node, sender) first-claim set.
+/// The Certified Propagation Algorithm — the "extremely simple protocol" of
+/// [Koo04], analyzed in Section IX.
+///
+/// The source's direct neighbors commit on hearing the source. Every other
+/// node commits once it has heard the same value in COMMITTED broadcasts from
+/// t+1 distinct neighbors, then re-broadcasts the committed value once and
+/// terminates. Only the first claim per neighbor counts (the no-duplicity
+/// rule of Section V). No node ever commits wrongly (at most t of the t+1
+/// reporters can be faulty); liveness holds for t <= 2r^2/3 in L∞
+/// (Theorem 6). State: dense claim tallies per value plus a packed
+/// (node, sender) first-claim set.
 class CpaPool final : public NodePool {
  public:
-  CpaPool(const ProtocolParams& params, const Torus& torus)
+  /// A pool of `slots` nodes; the two-argument form covers every node of
+  /// the torus.
+  CpaPool(const ProtocolParams& params, const Torus& torus,
+          std::int64_t slots)
       : t_(params.t),
         source_(torus.wrap(params.source)),
-        state_(torus.node_count()),
-        claims_(static_cast<std::size_t>(torus.node_count()) * 2, 0) {}
+        state_(slots),
+        claims_(static_cast<std::size_t>(slots) * 2, 0) {}
+  CpaPool(const ProtocolParams& params, const Torus& torus)
+      : CpaPool(params, torus, torus.node_count()) {}
 
   void on_receive(NodeContext& ctx, std::int32_t node,
                   const Envelope& env) override;
@@ -281,22 +304,45 @@ class CpaPool final : public NodePool {
   PackedKeySet first_claim_;          // (node << 32) | sender index
 };
 
-/// SoA twin of BvTwoHopBehavior on its incremental (CenterTable) path. The
-/// per-node maps/sets become packed tables keyed by (node, peer[, value]),
-/// and the per-(origin, value) reporter-count vectors become K-slot blocks in
-/// one shared arena. Only instantiated when supported() holds — the legacy
-/// and offset-exact fallback paths for tiny tori stay in the behavior class.
+/// The simplified Bhandari–Vaidya protocol (Section VI-B, and the companion
+/// report [10]): only the *immediate neighbors* of a node that sent a
+/// COMMITTED message send a HEARD message reporting it, so information about
+/// a commit travels at most two hops. This achieves the same exact threshold
+/// t < r(2r+1)/2 as the full protocol in L∞, with far less traffic.
+///
+/// Commit rule implemented (a localized instance of Section V's sufficient
+/// condition):
+///  * reliable determination of (i, v):
+///      - heard COMMITTED(i, v) from i directly (first value per sender), or
+///      - heard HEARD(k, i, v) from t+1 distinct reporters k such that, for
+///        some single center c, i and all t+1 reporters lie in nbd(c). Since
+///        each such evidence chain has exactly one intermediate and the
+///        reporters are distinct, the chains are automatically node-disjoint;
+///        at most t of them can be faulty, so one is honest and truthful.
+///  * commit to v once t+1 determined committers of v lie in one neighborhood
+///    (the NeighborhoodCommitCounter rule of protocols/common.h, inlined).
+///
+/// Reporter counting walks the CenterTable bitsets (protocols/
+/// determination.h). The per-node maps/sets are packed tables keyed by
+/// (node, peer[, value]), and the per-(origin, value) reporter counts are
+/// K-slot blocks in one shared arena.
 class BvTwoHopPool final : public NodePool {
  public:
-  /// The pool requires the CenterTable engine (same condition as the
-  /// behavior's fast path) and 21-bit node indices for its packed keys.
+  /// The geometry the pool handles: CenterTable radii (L∞ r <= 7, L2
+  /// r <= 9), sides over 2r so distinct center offsets never wrap to one
+  /// node, and 21-bit node indices for the packed keys.
   static bool supported(const Torus& torus, std::int32_t r, Metric m) {
     return CenterTable::supported(r, m) && torus.width() > 2 * r &&
            torus.height() > 2 * r && torus.node_count() < (1 << 21);
   }
 
+  /// A pool of `slots` nodes; the four-argument form covers every node of
+  /// the torus. Throws std::invalid_argument unless supported(torus, r, m).
   BvTwoHopPool(const ProtocolParams& params, const Torus& torus,
-               std::int32_t r, Metric m);
+               std::int32_t r, Metric m, std::int64_t slots);
+  BvTwoHopPool(const ProtocolParams& params, const Torus& torus,
+               std::int32_t r, Metric m)
+      : BvTwoHopPool(params, torus, r, m, torus.node_count()) {}
 
   void on_receive(NodeContext& ctx, std::int32_t node,
                   const Envelope& env) override;
@@ -308,6 +354,14 @@ class BvTwoHopPool final : public NodePool {
     return state_.commit_round(node);
   }
   std::uint64_t state_bytes() const override;
+
+  /// True iff `node` has reliably determined that `origin` committed
+  /// `value`.
+  bool has_determined(std::int32_t node, Coord origin,
+                      std::uint8_t value) const {
+    return determined_.contains(
+        nov_key(node, torus_.index(torus_.wrap(origin)), value));
+  }
 
  private:
   void handle_committed(NodeContext& ctx, std::int32_t node,
@@ -332,6 +386,7 @@ class BvTwoHopPool final : public NodePool {
   Coord source_;
   std::int32_t r_;
   Metric m_;
+  Torus torus_;
   const NeighborhoodTable& table_;
   const CenterTable& center_table_;
   CommitArrays state_;
@@ -342,6 +397,30 @@ class BvTwoHopPool final : public NodePool {
   PackedU32Map reporter_blocks_;  // nov_key(node, origin, value) -> block + 1
   std::vector<std::int32_t> reporter_arena_;  // blocks of K counts
   std::size_t arena_blocks_ = 0;
+};
+
+/// One node's view of a pool: drives a one-slot pool at slot 0, so hosts
+/// that run nodes one at a time (the networked runtime, the crash-at-round
+/// adversary) execute the simulator's protocol code. Slot 0 is exact: the
+/// pools take the node's identity from ctx.self() and use the node index
+/// only to address state.
+class PoolSlotBehavior final : public NodeBehavior {
+ public:
+  explicit PoolSlotBehavior(std::unique_ptr<NodePool> pool)
+      : pool_(std::move(pool)) {}
+
+  void on_receive(NodeContext& ctx, const Envelope& env) override {
+    pool_->on_receive(ctx, 0, env);
+  }
+  std::optional<std::uint8_t> committed_value() const override {
+    return pool_->committed_value(0);
+  }
+  std::optional<std::int64_t> commit_round() const override {
+    return pool_->commit_round(0);
+  }
+
+ private:
+  std::unique_ptr<NodePool> pool_;
 };
 
 }  // namespace rbcast

@@ -38,12 +38,10 @@
 
 // Protocols.
 #include "radiobcast/protocols/bv_indirect.h"  // IWYU pragma: export
-#include "radiobcast/protocols/bv_two_hop.h"   // IWYU pragma: export
 #include "radiobcast/protocols/byzantine.h"    // IWYU pragma: export
 #include "radiobcast/protocols/common.h"       // IWYU pragma: export
-#include "radiobcast/protocols/cpa.h"          // IWYU pragma: export
-#include "radiobcast/protocols/crash_flood.h"  // IWYU pragma: export
 #include "radiobcast/protocols/earmark.h"      // IWYU pragma: export
+#include "radiobcast/protocols/pool.h"         // IWYU pragma: export
 #include "radiobcast/protocols/source.h"       // IWYU pragma: export
 
 // Arbitrary radio graphs (Sections III and V).

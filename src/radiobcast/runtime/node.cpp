@@ -49,6 +49,20 @@ void validate(const RuntimeNode::Options& opts) {
   }
 }
 
+/// The node's protocol object. Every role first builds the honest protocol,
+/// so a configuration the protocols reject (e.g. an unsupported radius)
+/// fails on every node of a deployment before round 1, not only on the
+/// honest ones while the source and the faults wait at the first barrier.
+std::unique_ptr<NodeBehavior> make_behavior(const RuntimeNode::Options& opts,
+                                            const Torus& torus) {
+  if (opts.behavior_factory) {
+    return opts.behavior_factory(opts.sim, torus, opts.role);
+  }
+  auto honest = make_node_behavior(opts.sim, torus, NodeRole::kHonest);
+  if (opts.role == NodeRole::kHonest) return honest;
+  return make_node_behavior(opts.sim, torus, opts.role);
+}
+
 }  // namespace
 
 RuntimeNode::RuntimeNode(Options opts, Transport& transport)
@@ -66,7 +80,8 @@ RuntimeNode::RuntimeNode(Options opts, Transport& transport)
       sync_(neighbor_indices(adjacency_for(torus_, opts_.sim), self_index_),
             RoundSynchronizer::Options{opts_.round_timeout,
                                        opts_.suspect_after}),
-      adjacency_(&adjacency_for(torus_, opts_.sim)) {
+      adjacency_(&adjacency_for(torus_, opts_.sim)),
+      behavior_(make_behavior(opts_, torus_)) {
   opts_.self = torus_.wrap(opts_.self);
   if (opts_.sim.adversary == AdversaryKind::kJamming) {
     // Unbounded jamming is a static geometric blackout: every receiver
@@ -296,9 +311,6 @@ RuntimeVerdict RuntimeNode::run() {
   // goes without re-checking stop_requested() when nothing else wakes it.
   constexpr std::chrono::milliseconds kStopProbe(10);
   run_start_ = clock::now();
-  behavior_ = opts_.behavior_factory
-                  ? opts_.behavior_factory(opts_.sim, torus_, opts_.role)
-                  : make_node_behavior(opts_.sim, torus_, opts_.role);
   RuntimeVerdict verdict;
   verdict.index = self_index_;
   verdict.self = opts_.self;

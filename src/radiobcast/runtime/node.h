@@ -2,10 +2,12 @@
 // One node of the networked runtime.
 //
 // RuntimeNode is the UDP-backed sibling of RadioNetwork: it implements the
-// BroadcastBackend interface (net/backend.h), so the very same protocol
-// objects the simulator hosts run here unmodified. The stack underneath is
+// BroadcastBackend interface (net/backend.h), so the simulator's protocol
+// code runs here unmodified — an honest crash-flood, cpa or bv-2hop node is
+// a one-slot view of the pool the simulator shares across all its nodes
+// (protocols/pool.h). The stack underneath is
 //
-//   NodeBehavior (protocols/*)      — unchanged protocol logic
+//   NodeBehavior (protocols/*)      — the simulator's protocol logic
 //   RuntimeNode                      — event loop, round mapping, verdicts
 //   RoundSynchronizer                — TDMA rounds on real time
 //   LocalBroadcast                   — CSR-neighbor fan-out
@@ -126,8 +128,10 @@ class RuntimeNode final : public BroadcastBackend {
         behavior_factory;
   };
 
-  /// `transport` is borrowed and must outlive the node. Throws
-  /// std::invalid_argument on configurations the runtime cannot realize.
+  /// `transport` is borrowed and must outlive the node. Builds the node's
+  /// behavior. Throws std::invalid_argument on configurations the runtime
+  /// cannot realize, including geometry the protocol rejects (see
+  /// make_node_behavior) — whatever the node's role.
   RuntimeNode(Options opts, Transport& transport);
 
   /// Runs the event loop to completion and reports the verdict. Blocking;

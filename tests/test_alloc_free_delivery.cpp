@@ -1,7 +1,7 @@
 // Zero-allocation contract of the optimized round engine (docs/PERF.md):
 // once a RadioNetwork is started, the steady-state delivery path — CSR
-// fan-out, small-buffer message copies, retransmission repeats, behavior
-// dispatch — performs no heap allocation at all. Pinned with the same
+// fan-out, small-buffer message copies, retransmission repeats, pool and
+// behavior dispatch — performs no heap allocation at all. Pinned with the same
 // global-operator-new counter technique as the RoundTrace tests
 // (tests/test_obs.cpp); the counter lives in this binary, so any allocation
 // anywhere in the measured window trips the assertion.
@@ -14,7 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "radiobcast/net/network.h"
-#include "radiobcast/protocols/crash_flood.h"
+#include "radiobcast/protocols/pool.h"
 #include "radiobcast/protocols/source.h"
 
 namespace {
@@ -58,14 +58,17 @@ TEST(AllocFreeDelivery, CrashFloodWholeRunIsAllocationFree) {
   // The acceptance criterion verbatim: zero heap allocations per delivered
   // envelope on the steady-state CrashFlood path — asserted in the strongest
   // form, zero allocations across the ENTIRE post-start() run (12x12 torus,
-  // ~6.9k envelope deliveries), not just amortized-zero.
-  RadioNetwork net(Torus(12, 12), 1, Metric::kLInf, 7);
-  for (const Coord c : net.torus().all_coords()) {
+  // ~6.9k envelope deliveries), not just amortized-zero. The honest nodes
+  // run in the SoA pool, as run_simulation installs them.
+  const Torus torus(12, 12);
+  RadioNetwork net(torus, 1, Metric::kLInf, 7);
+  net.set_pool(
+      std::make_unique<CrashFloodPool>(ProtocolParams{0, {0, 0}}, torus));
+  for (const Coord c : torus.all_coords()) {
     if (c == Coord{0, 0}) {
       net.set_behavior(c, std::make_unique<SourceBehavior>(1));
     } else {
-      net.set_behavior(
-          c, std::make_unique<CrashFloodBehavior>(ProtocolParams{0, {0, 0}}));
+      net.assign_to_pool(c);
     }
   }
   net.start();

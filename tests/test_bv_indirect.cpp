@@ -202,21 +202,26 @@ TEST(BvIndirect, BehaviorUnitConflictingChainsDoNotCount) {
   EXPECT_EQ(b->determinations(), 0);
 }
 
-TEST(BvIndirect, RadiusGuardRejectsKeyCollidingRadii) {
-  // pack_report_key encodes origin-relative chain deltas (bounded by 3r) in
-  // 8-bit two's complement, injective only for r <= kMaxReportKeyRadius.
+TEST(BvIndirect, RadiusGuardRejectsUnsupportedRadii) {
+  // The determination engine covers the radii whose candidate-center set
+  // fits a CenterSet (L-inf r <= 7, L2 r <= 9); anything else is rejected
+  // at construction rather than run on a slower second engine.
   const ProtocolParams params{1, {0, 0}};
-  const std::int32_t rmax = BvIndirectBehavior::kMaxReportKeyRadius;
-  EXPECT_EQ(rmax, 42);
-  {
-    const Torus torus(8 * rmax + 4, 8 * rmax + 4);
-    EXPECT_NO_THROW(BvIndirectBehavior(params, torus, rmax, Metric::kLInf,
-                                       RelayMode::kFlood));
+  for (const RelayMode mode : {RelayMode::kFlood, RelayMode::kEarmarked}) {
+    const Torus torus(8 * 7 + 4, 8 * 7 + 4);
+    EXPECT_NO_THROW(BvIndirectBehavior(params, torus, 7, Metric::kLInf, mode));
   }
   {
-    const Torus torus(8 * (rmax + 1) + 4, 8 * (rmax + 1) + 4);
-    EXPECT_THROW(BvIndirectBehavior(params, torus, rmax + 1, Metric::kLInf,
+    const Torus torus(8 * 9 + 4, 8 * 9 + 4);
+    EXPECT_NO_THROW(BvIndirectBehavior(params, torus, 9, Metric::kL2,
+                                       RelayMode::kFlood));
+    EXPECT_THROW(BvIndirectBehavior(params, torus, 10, Metric::kL2,
                                     RelayMode::kFlood),
+                 std::invalid_argument);
+  }
+  for (const RelayMode mode : {RelayMode::kFlood, RelayMode::kEarmarked}) {
+    const Torus torus(8 * 8 + 4, 8 * 8 + 4);
+    EXPECT_THROW(BvIndirectBehavior(params, torus, 8, Metric::kLInf, mode),
                  std::invalid_argument);
   }
   {

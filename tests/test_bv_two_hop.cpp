@@ -1,10 +1,10 @@
-#include "radiobcast/protocols/bv_two_hop.h"
-
 #include <gtest/gtest.h>
 
 #include "radiobcast/core/analysis.h"
 #include "radiobcast/core/experiment.h"
 #include "radiobcast/core/simulation.h"
+#include "radiobcast/net/network.h"
+#include "radiobcast/protocols/pool.h"
 
 namespace rbcast {
 namespace {
@@ -105,88 +105,85 @@ TEST(BvTwoHop, RandomLiarsAtThresholdAreHarmless) {
   }
 }
 
+/// Number of (origin, value) pairs slot `node` of `pool` has reliably
+/// determined.
+std::int64_t determinations(const BvTwoHopPool& pool, const Torus& torus,
+                            std::int32_t node) {
+  std::int64_t count = 0;
+  for (const Coord origin : torus.all_coords()) {
+    for (const std::uint8_t v : {0, 1}) {
+      count += pool.has_determined(node, origin, v) ? 1 : 0;
+    }
+  }
+  return count;
+}
+
+// The unit tests below drive a one-slot pool at slot 0 — the view the
+// runtime hosts per node.
+
 TEST(BvTwoHop, BehaviorUnitDirectDetermination) {
   const Torus torus(20, 20);
   RadioNetwork net(torus, 2, Metric::kLInf, 1);
-  for (const Coord c : torus.all_coords()) {
-    net.set_behavior(c, std::make_unique<BvTwoHopBehavior>(
-                            ProtocolParams{1, {0, 0}}, torus, 2,
-                            Metric::kLInf));
-  }
-  const Coord self{10, 10};
-  NodeContext ctx(net, self);
-  auto* b = dynamic_cast<BvTwoHopBehavior*>(net.behavior(self));
-  EXPECT_EQ(b->determinations(), 0);
-  b->on_receive(ctx, {{9, 9}, make_committed({9, 9}, 1)});
-  EXPECT_EQ(b->determinations(), 1);
+  BvTwoHopPool pool(ProtocolParams{1, {0, 0}}, torus, 2, Metric::kLInf, 1);
+  NodeContext ctx(net, {10, 10});
+  EXPECT_EQ(determinations(pool, torus, 0), 0);
+  pool.on_receive(ctx, 0, {{9, 9}, make_committed({9, 9}, 1)});
+  EXPECT_EQ(determinations(pool, torus, 0), 1);
+  EXPECT_TRUE(pool.has_determined(0, {9, 9}, 1));
   // Duplicate and contradiction are both no-ops.
-  b->on_receive(ctx, {{9, 9}, make_committed({9, 9}, 1)});
-  b->on_receive(ctx, {{9, 9}, make_committed({9, 9}, 0)});
-  EXPECT_EQ(b->determinations(), 1);
+  pool.on_receive(ctx, 0, {{9, 9}, make_committed({9, 9}, 1)});
+  pool.on_receive(ctx, 0, {{9, 9}, make_committed({9, 9}, 0)});
+  EXPECT_EQ(determinations(pool, torus, 0), 1);
 }
 
 TEST(BvTwoHop, BehaviorUnitIndirectDeterminationNeedsTPlusOneReporters) {
   const Torus torus(20, 20);
   const std::int64_t t = 2;
   RadioNetwork net(torus, 2, Metric::kLInf, 1);
-  for (const Coord c : torus.all_coords()) {
-    net.set_behavior(c, std::make_unique<BvTwoHopBehavior>(
-                            ProtocolParams{t, {0, 0}}, torus, 2,
-                            Metric::kLInf));
-  }
-  const Coord self{10, 10};
-  const Coord origin{13, 10};  // 3 away: not a direct neighbor (r=2)
-  NodeContext ctx(net, self);
-  auto* b = dynamic_cast<BvTwoHopBehavior*>(net.behavior(self));
+  BvTwoHopPool pool(ProtocolParams{t, {0, 0}}, torus, 2, Metric::kLInf, 1);
+  const Coord origin{13, 10};  // 3 away from (10,10): not a direct neighbor
+  NodeContext ctx(net, {10, 10});
   // Reporters adjacent to both the origin and us, clustered so that one
   // neighborhood (e.g. centered (12,10)) contains origin and all reporters.
   const Coord reporters[] = {{11, 10}, {11, 11}, {12, 9}};
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(b->determinations(), 0) << "after " << i << " reporters";
-    b->on_receive(ctx, {reporters[i],
-                        make_heard({reporters[i]}, origin, 1)});
+    EXPECT_EQ(determinations(pool, torus, 0), 0)
+        << "after " << i << " reporters";
+    pool.on_receive(ctx, 0,
+                    {reporters[i], make_heard({reporters[i]}, origin, 1)});
   }
-  EXPECT_EQ(b->determinations(), 1);  // t+1 = 3 disjoint chains in one nbd
+  // t+1 = 3 disjoint chains in one nbd
+  EXPECT_EQ(determinations(pool, torus, 0), 1);
+  EXPECT_TRUE(pool.has_determined(0, origin, 1));
 }
 
 TEST(BvTwoHop, BehaviorUnitRejectsMalformedHeard) {
   const Torus torus(20, 20);
   RadioNetwork net(torus, 2, Metric::kLInf, 1);
-  for (const Coord c : torus.all_coords()) {
-    net.set_behavior(c, std::make_unique<BvTwoHopBehavior>(
-                            ProtocolParams{0, {0, 0}}, torus, 2,
-                            Metric::kLInf));
-  }
-  const Coord self{10, 10};
-  NodeContext ctx(net, self);
-  auto* b = dynamic_cast<BvTwoHopBehavior*>(net.behavior(self));
+  BvTwoHopPool pool(ProtocolParams{0, {0, 0}}, torus, 2, Metric::kLInf, 1);
+  NodeContext ctx(net, {10, 10});
   // Relayer field does not match the transmitter: spoofed, dropped.
-  b->on_receive(ctx, {{9, 9}, make_heard({{8, 8}}, {13, 10}, 1)});
-  EXPECT_EQ(b->determinations(), 0);
+  pool.on_receive(ctx, 0, {{9, 9}, make_heard({{8, 8}}, {13, 10}, 1)});
+  EXPECT_EQ(determinations(pool, torus, 0), 0);
   // Reporter claims to have heard a node 4 away (impossible with r=2).
-  b->on_receive(ctx, {{9, 9}, make_heard({{9, 9}}, {13, 10}, 1)});
-  EXPECT_EQ(b->determinations(), 0);
+  pool.on_receive(ctx, 0, {{9, 9}, make_heard({{9, 9}}, {13, 10}, 1)});
+  EXPECT_EQ(determinations(pool, torus, 0), 0);
   // Origin == reporter is nonsense.
-  b->on_receive(ctx, {{9, 9}, make_heard({{9, 9}}, {9, 9}, 1)});
-  EXPECT_EQ(b->determinations(), 0);
+  pool.on_receive(ctx, 0, {{9, 9}, make_heard({{9, 9}}, {9, 9}, 1)});
+  EXPECT_EQ(determinations(pool, torus, 0), 0);
   // Two-relayer chains are not part of the two-hop protocol.
-  b->on_receive(ctx, {{9, 9}, make_heard({{11, 10}, {9, 9}}, {12, 10}, 1)});
-  EXPECT_EQ(b->determinations(), 0);
+  pool.on_receive(ctx, 0,
+                  {{9, 9}, make_heard({{11, 10}, {9, 9}}, {12, 10}, 1)});
+  EXPECT_EQ(determinations(pool, torus, 0), 0);
 }
 
 TEST(BvTwoHop, BehaviorUnitSourceNeighborCommitsDirectly) {
   const Torus torus(20, 20);
   RadioNetwork net(torus, 2, Metric::kLInf, 1);
-  for (const Coord c : torus.all_coords()) {
-    net.set_behavior(c, std::make_unique<BvTwoHopBehavior>(
-                            ProtocolParams{4, {0, 0}}, torus, 2,
-                            Metric::kLInf));
-  }
-  const Coord self{1, 1};
-  NodeContext ctx(net, self);
-  auto* b = dynamic_cast<BvTwoHopBehavior*>(net.behavior(self));
-  b->on_receive(ctx, {{0, 0}, make_committed({0, 0}, 0)});
-  EXPECT_EQ(b->committed_value(), std::optional<std::uint8_t>(0));
+  BvTwoHopPool pool(ProtocolParams{4, {0, 0}}, torus, 2, Metric::kLInf, 1);
+  NodeContext ctx(net, {1, 1});
+  pool.on_receive(ctx, 0, {{0, 0}, make_committed({0, 0}, 0)});
+  EXPECT_EQ(pool.committed_value(0), std::optional<std::uint8_t>(0));
 }
 
 }  // namespace

@@ -2,13 +2,24 @@
 
 #include <gtest/gtest.h>
 
-#include "radiobcast/protocols/crash_flood.h"
+#include "radiobcast/core/simulation.h"
 
 namespace rbcast {
 namespace {
 
 RadioNetwork make_net(std::int32_t side, std::int32_t r) {
   return RadioNetwork(Torus(side, side), r, Metric::kLInf, 1);
+}
+
+/// An honest crash-flood node on `torus` (r = 1), as the simulator and the
+/// runtime build it.
+std::unique_ptr<NodeBehavior> honest_crash_flood(const Torus& torus) {
+  SimConfig cfg;
+  cfg.width = torus.width();
+  cfg.height = torus.height();
+  cfg.r = 1;
+  cfg.protocol = ProtocolKind::kCrashFlood;
+  return make_node_behavior(cfg, torus, NodeRole::kHonest);
 }
 
 TEST(Silent, NeverTransmits) {
@@ -102,8 +113,7 @@ TEST(CrashAtRound, HonestUntilCrash) {
   const Coord node{5, 5};
   net.set_behavior(node,
                    std::make_unique<CrashAtRoundBehavior>(
-                       std::make_unique<CrashFloodBehavior>(ProtocolParams{}),
-                       /*crash_round=*/2));
+                       honest_crash_flood(torus), /*crash_round=*/2));
   net.start();
   NodeContext ctx(net, node);
   auto* b = net.behavior(node);
@@ -130,8 +140,7 @@ TEST(CrashAtRound, CrashAtZeroNeverActs) {
   const Coord node{5, 5};
   net.set_behavior(node,
                    std::make_unique<CrashAtRoundBehavior>(
-                       std::make_unique<CrashFloodBehavior>(ProtocolParams{}),
-                       /*crash_round=*/0));
+                       honest_crash_flood(torus), /*crash_round=*/0));
   net.start();
   NodeContext ctx(net, node);
   net.behavior(node)->on_receive(ctx, {{5, 6}, make_committed({5, 6}, 1)});

@@ -10,9 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -368,6 +370,56 @@ TEST(CampaignReport, JsonShapeAndEscaping) {
   EXPECT_EQ(json_number(3.0), "3");
   EXPECT_EQ(json_number(-41.0), "-41");
   EXPECT_EQ(json_number(0.5), "0.5");
+}
+
+/// The value of the first `"schema": "..."` field in `text` (JSON with or
+/// without a space after the colon), or "" when there is none.
+std::string schema_field(const std::string& text) {
+  const std::string key = "\"schema\":";
+  const std::size_t at = text.find(key);
+  if (at == std::string::npos) return "";
+  const std::size_t open = text.find('"', at + key.size());
+  const std::size_t close = text.find('"', open + 1);
+  if (open == std::string::npos || close == std::string::npos) return "";
+  return text.substr(open + 1, close - open - 1);
+}
+
+TEST(CampaignReport, DocumentedSchemaMatchesEmitted) {
+  // docs/CAMPAIGNS.md documents the JSON with a worked example; its schema
+  // string (and every other schema name the docs and report.h mention) must
+  // be the one to_json actually emits.
+  CampaignSpec spec;
+  spec.base.width = spec.base.height = 12;
+  spec.base.r = 1;
+  spec.base.protocol = ProtocolKind::kCrashFlood;
+  spec.placements = {PlacementKind::kNone};
+  spec.reps = 1;
+  const std::string emitted = schema_field(to_json(run_campaign(spec, {})));
+  ASSERT_EQ(emitted.rfind("radiobcast-campaign-v", 0), 0u) << emitted;
+
+  const auto read = [](const std::string& relative) {
+    std::ifstream in(std::string(RADIOBCAST_SOURCE_DIR) + "/" + relative);
+    EXPECT_TRUE(in.good()) << relative;
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+  const std::string campaigns = read("docs/CAMPAIGNS.md");
+  EXPECT_EQ(schema_field(campaigns), emitted);
+  for (const std::string relative :
+       {"docs/CAMPAIGNS.md", "docs/RUNTIME.md", "docs/OBSERVABILITY.md",
+        "src/radiobcast/campaign/report.h"}) {
+    const std::string text = read(relative);
+    for (std::size_t at = text.find("radiobcast-campaign-v");
+         at != std::string::npos;
+         at = text.find("radiobcast-campaign-v", at + 1)) {
+      std::size_t end = at + std::string("radiobcast-campaign-v").size();
+      while (end < text.size() && std::isdigit(
+                                      static_cast<unsigned char>(text[end]))) {
+        ++end;
+      }
+      EXPECT_EQ(text.substr(at, end - at), emitted) << relative;
+    }
+  }
 }
 
 TEST(CampaignReport, CsvHasHeaderPlusOneRowPerCell) {

@@ -1,10 +1,10 @@
-#include "radiobcast/protocols/cpa.h"
-
 #include <gtest/gtest.h>
 
 #include "radiobcast/core/analysis.h"
 #include "radiobcast/core/experiment.h"
 #include "radiobcast/core/simulation.h"
+#include "radiobcast/net/network.h"
+#include "radiobcast/protocols/pool.h"
 
 namespace rbcast {
 namespace {
@@ -73,68 +73,55 @@ TEST(Cpa, LyingAdversaryNeverCausesWrongCommit) {
   }
 }
 
+// The unit tests below drive a one-slot pool at slot 0 — the view the
+// runtime hosts per node.
+
 TEST(Cpa, BehaviorUnitNeedsTPlusOneClaims) {
   const Torus torus(12, 12);
   RadioNetwork net(torus, 1, Metric::kLInf, 1);
-  for (const Coord c : torus.all_coords()) {
-    net.set_behavior(c, std::make_unique<CpaBehavior>(ProtocolParams{2, {0, 0}}));
-  }
-  const Coord self{6, 6};
-  NodeContext ctx(net, self);
-  auto* b = dynamic_cast<CpaBehavior*>(net.behavior(self));
-  b->on_receive(ctx, {{5, 5}, make_committed({5, 5}, 1)});
-  b->on_receive(ctx, {{5, 6}, make_committed({5, 6}, 1)});
-  EXPECT_FALSE(b->committed_value().has_value());  // only 2 claims, t+1 = 3
-  b->on_receive(ctx, {{5, 7}, make_committed({5, 7}, 1)});
-  EXPECT_EQ(b->committed_value(), std::optional<std::uint8_t>(1));
+  CpaPool pool(ProtocolParams{2, {0, 0}}, torus, 1);
+  NodeContext ctx(net, {6, 6});
+  pool.on_receive(ctx, 0, {{5, 5}, make_committed({5, 5}, 1)});
+  pool.on_receive(ctx, 0, {{5, 6}, make_committed({5, 6}, 1)});
+  EXPECT_FALSE(pool.committed_value(0).has_value());  // 2 claims, t+1 = 3
+  pool.on_receive(ctx, 0, {{5, 7}, make_committed({5, 7}, 1)});
+  EXPECT_EQ(pool.committed_value(0), std::optional<std::uint8_t>(1));
 }
 
 TEST(Cpa, BehaviorUnitFirstClaimPerNeighborWins) {
   const Torus torus(12, 12);
   RadioNetwork net(torus, 1, Metric::kLInf, 1);
-  for (const Coord c : torus.all_coords()) {
-    net.set_behavior(c, std::make_unique<CpaBehavior>(ProtocolParams{1, {0, 0}}));
-  }
-  const Coord self{6, 6};
-  NodeContext ctx(net, self);
-  auto* b = dynamic_cast<CpaBehavior*>(net.behavior(self));
+  CpaPool pool(ProtocolParams{1, {0, 0}}, torus, 1);
+  NodeContext ctx(net, {6, 6});
   // The same neighbor repeating does not add claims.
-  b->on_receive(ctx, {{5, 5}, make_committed({5, 5}, 1)});
-  b->on_receive(ctx, {{5, 5}, make_committed({5, 5}, 1)});
-  EXPECT_FALSE(b->committed_value().has_value());
+  pool.on_receive(ctx, 0, {{5, 5}, make_committed({5, 5}, 1)});
+  pool.on_receive(ctx, 0, {{5, 5}, make_committed({5, 5}, 1)});
+  EXPECT_FALSE(pool.committed_value(0).has_value());
   // A contradictory second value from the same node is ignored outright.
-  b->on_receive(ctx, {{5, 5}, make_committed({5, 5}, 0)});
-  b->on_receive(ctx, {{5, 6}, make_committed({5, 6}, 0)});
-  EXPECT_FALSE(b->committed_value().has_value());
-  b->on_receive(ctx, {{5, 7}, make_committed({5, 7}, 1)});
-  EXPECT_EQ(b->committed_value(), std::optional<std::uint8_t>(1));
+  pool.on_receive(ctx, 0, {{5, 5}, make_committed({5, 5}, 0)});
+  pool.on_receive(ctx, 0, {{5, 6}, make_committed({5, 6}, 0)});
+  EXPECT_FALSE(pool.committed_value(0).has_value());
+  pool.on_receive(ctx, 0, {{5, 7}, make_committed({5, 7}, 1)});
+  EXPECT_EQ(pool.committed_value(0), std::optional<std::uint8_t>(1));
 }
 
 TEST(Cpa, BehaviorUnitIgnoresSpoofedOrigins) {
   const Torus torus(12, 12);
   RadioNetwork net(torus, 1, Metric::kLInf, 1);
-  for (const Coord c : torus.all_coords()) {
-    net.set_behavior(c, std::make_unique<CpaBehavior>(ProtocolParams{0, {0, 0}}));
-  }
-  const Coord self{6, 6};
-  NodeContext ctx(net, self);
-  auto* b = dynamic_cast<CpaBehavior*>(net.behavior(self));
+  CpaPool pool(ProtocolParams{0, {0, 0}}, torus, 1);
+  NodeContext ctx(net, {6, 6});
   // Claims whose origin field does not match the transmitter are dropped.
-  b->on_receive(ctx, {{5, 5}, make_committed({4, 4}, 1)});
-  EXPECT_FALSE(b->committed_value().has_value());
+  pool.on_receive(ctx, 0, {{5, 5}, make_committed({4, 4}, 1)});
+  EXPECT_FALSE(pool.committed_value(0).has_value());
 }
 
 TEST(Cpa, BehaviorUnitSourceNeighborCommitsImmediately) {
   const Torus torus(12, 12);
   RadioNetwork net(torus, 1, Metric::kLInf, 1);
-  for (const Coord c : torus.all_coords()) {
-    net.set_behavior(c, std::make_unique<CpaBehavior>(ProtocolParams{5, {0, 0}}));
-  }
-  const Coord self{1, 1};
-  NodeContext ctx(net, self);
-  auto* b = dynamic_cast<CpaBehavior*>(net.behavior(self));
-  b->on_receive(ctx, {{0, 0}, make_committed({0, 0}, 1)});
-  EXPECT_EQ(b->committed_value(), std::optional<std::uint8_t>(1));
+  CpaPool pool(ProtocolParams{5, {0, 0}}, torus, 1);
+  NodeContext ctx(net, {1, 1});
+  pool.on_receive(ctx, 0, {{0, 0}, make_committed({0, 0}, 1)});
+  EXPECT_EQ(pool.committed_value(0), std::optional<std::uint8_t>(1));
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
-#include "radiobcast/protocols/crash_flood.h"
-
 #include <gtest/gtest.h>
 
 #include "radiobcast/core/analysis.h"
 #include "radiobcast/core/experiment.h"
 #include "radiobcast/core/simulation.h"
+#include "radiobcast/net/network.h"
+#include "radiobcast/protocols/pool.h"
 
 namespace rbcast {
 namespace {
@@ -128,17 +128,17 @@ TEST(CrashFlood, CrashAtRoundStillNeverWrong) {
 }
 
 TEST(CrashFlood, BehaviorUnitCommitOnFirstValue) {
-  // Direct behavior-level check of the "first value wins" rule.
-  RadioNetwork net(Torus(12, 12), 1, Metric::kLInf, 1);
-  for (const Coord c : net.torus().all_coords()) {
-    net.set_behavior(c, std::make_unique<CrashFloodBehavior>(ProtocolParams{}));
-  }
-  NodeContext ctx(net, {5, 5});
-  auto* b = dynamic_cast<CrashFloodBehavior*>(net.behavior({5, 5}));
-  b->on_receive(ctx, {{5, 6}, make_committed({5, 6}, 1)});
-  EXPECT_EQ(b->committed_value(), std::optional<std::uint8_t>(1));
-  b->on_receive(ctx, {{5, 4}, make_committed({5, 4}, 0)});
-  EXPECT_EQ(b->committed_value(), std::optional<std::uint8_t>(1));
+  // Direct pool-level check of the "first value wins" rule.
+  const Torus torus(12, 12);
+  RadioNetwork net(torus, 1, Metric::kLInf, 1);
+  CrashFloodPool pool(ProtocolParams{}, torus);
+  const Coord self{5, 5};
+  const std::int32_t node = torus.index(self);
+  NodeContext ctx(net, self);
+  pool.on_receive(ctx, node, {{5, 6}, make_committed({5, 6}, 1)});
+  EXPECT_EQ(pool.committed_value(node), std::optional<std::uint8_t>(1));
+  pool.on_receive(ctx, node, {{5, 4}, make_committed({5, 4}, 0)});
+  EXPECT_EQ(pool.committed_value(node), std::optional<std::uint8_t>(1));
 }
 
 }  // namespace

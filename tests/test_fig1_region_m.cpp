@@ -10,33 +10,38 @@
 #include "radiobcast/net/network.h"
 #include "radiobcast/paths/construction.h"
 #include "radiobcast/protocols/bv_indirect.h"
-#include "radiobcast/protocols/bv_two_hop.h"
 #include "radiobcast/protocols/common.h"
+#include "radiobcast/protocols/pool.h"
 #include "radiobcast/protocols/source.h"
 
 namespace rbcast {
 namespace {
 
 /// Runs a fault-free broadcast with the given protocol on a torus big enough
-/// for the (a,b)=(center) frame, returning the network for inspection.
-template <typename Behavior>
+/// for the (a,b)=(center) frame, returning the network for inspection. The
+/// full protocol runs as per-node behaviors; the two-hop protocol
+/// (mode == nullptr) as one pool over every honest node, as run_simulation
+/// installs it.
 RadioNetwork run_fault_free(std::int32_t r, std::int64_t t,
-                            RelayMode* mode /* nullptr = two-hop */) {
+                            const RelayMode* mode) {
   const std::int32_t side = 8 * r + 4;
   Torus torus(side, side);
   RadioNetwork net(torus, r, Metric::kLInf, /*seed=*/1);
   const Coord source{0, 0};
   ProtocolParams params{t, source};
   params.track_after_commit = true;  // observe the full determination set
+  if (mode == nullptr) {
+    net.set_pool(std::make_unique<BvTwoHopPool>(params, torus, r,
+                                                Metric::kLInf));
+  }
   for (const Coord c : torus.all_coords()) {
     if (c == source) {
       net.set_behavior(c, std::make_unique<SourceBehavior>(1));
-    } else if constexpr (std::is_same_v<Behavior, BvIndirectBehavior>) {
+    } else if (mode != nullptr) {
       net.set_behavior(c, std::make_unique<BvIndirectBehavior>(
                               params, torus, r, Metric::kLInf, *mode));
     } else {
-      net.set_behavior(c, std::make_unique<BvTwoHopBehavior>(params, torus, r,
-                                                             Metric::kLInf));
+      net.assign_to_pool(c);
     }
   }
   net.start();
@@ -47,8 +52,8 @@ RadioNetwork run_fault_free(std::int32_t r, std::int64_t t,
 TEST(Fig1RegionM, CornerDeciderDeterminesAllOfM4Hop) {
   const std::int32_t r = 2;
   const std::int64_t t = byz_linf_achievable_max(r);
-  RelayMode mode = RelayMode::kEarmarked;
-  auto net = run_fault_free<BvIndirectBehavior>(r, t, &mode);
+  const RelayMode mode = RelayMode::kEarmarked;
+  auto net = run_fault_free(r, t, &mode);
   const Torus& torus = net.torus();
 
   // Frame: neighborhood center (a,b), decider P at the pnbd corner.
@@ -79,18 +84,19 @@ TEST(Fig1RegionM, CornerDeciderDeterminesAllOfMTwoHop) {
   // within a single neighborhood on the fault-free grid.
   const std::int32_t r = 2;
   const std::int64_t t = byz_linf_achievable_max(r);
-  auto net = run_fault_free<BvTwoHopBehavior>(r, t, nullptr);
+  auto net = run_fault_free(r, t, nullptr);
   const Torus& torus = net.torus();
   const Coord ab{10, 10};
   const Coord p = torus.wrap(Coord{ab.x - r, ab.y + r + 1});
-  const auto* decider = dynamic_cast<const BvTwoHopBehavior*>(net.behavior(p));
-  ASSERT_NE(decider, nullptr);
-  EXPECT_TRUE(decider->committed_value().has_value());
+  const auto* pool = dynamic_cast<const BvTwoHopPool*>(net.pool());
+  ASSERT_NE(pool, nullptr);
+  const std::int32_t decider = torus.index(p);
+  EXPECT_TRUE(pool->committed_value(decider).has_value());
 
   // Direct region R (Fig 2) is certainly determined.
   for (const Coord rel : region_R(r).cells()) {
     const Coord node = torus.wrap(ab + (rel - Coord{0, 0}));
-    EXPECT_TRUE(decider->has_determined(node, 1))
+    EXPECT_TRUE(pool->has_determined(decider, node, 1))
         << "R node " << to_string(rel) << " undetermined";
   }
 }

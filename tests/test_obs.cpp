@@ -17,8 +17,6 @@
 #include "radiobcast/net/network.h"
 #include "radiobcast/obs/timers.h"
 #include "radiobcast/obs/trace.h"
-#include "radiobcast/protocols/crash_flood.h"
-#include "radiobcast/protocols/source.h"
 
 // Global allocation counter: every operator new in this binary bumps it.
 // Used to pin the "record() never allocates" contract of RoundTrace.
@@ -242,12 +240,9 @@ TEST(RoundTrace, DisabledTrialLeavesSinkUntouchedAndUnallocated) {
   net.set_trace(&sink);
   const Torus& torus = net.torus();
   for (const Coord c : torus.all_coords()) {
-    if (c == Coord{0, 0}) {
-      net.set_behavior(c, std::make_unique<SourceBehavior>(1));
-    } else {
-      net.set_behavior(
-          c, std::make_unique<CrashFloodBehavior>(ProtocolParams{0, {0, 0}}));
-    }
+    const NodeRole role =
+        c == Coord{0, 0} ? NodeRole::kSource : NodeRole::kHonest;
+    net.set_behavior(c, make_node_behavior(cfg, torus, role));
   }
   net.start();
   const std::uint64_t before = g_allocations.load();

@@ -1,40 +1,102 @@
-// Structure-of-arrays / per-node-behavior equivalence: the SoA pools
-// (protocols/pool.h) must reproduce the behavior-backed engine's results
-// EXACTLY — same outcomes, same commit rounds, same traffic, same
-// deterministic counters — across protocols, adversaries, channel models,
-// and the geometry corners where the two-hop pool falls back to behaviors.
-// The golden SHA-256 suite pins the serialized bytes; this suite pins the
-// full SimResult object (and the fallback decisions) field by field.
+// Slot-view equivalence: each protocol pool (protocols/pool.h) is the only
+// implementation of its protocol, run two ways — run_simulation shares one
+// pool across every honest node, while the networked runtime and the
+// crash-at-round adversary drive a one-slot view of it per node
+// (PoolSlotBehavior, built by make_node_behavior). Both must produce EXACTLY
+// the same trial: same outcomes, same commit rounds, same traffic, same
+// deterministic counters — across protocols, adversaries and channel models.
+// The golden SHA-256 suite pins the serialized bytes of the shared-pool run;
+// this suite pins the per-node run against it field by field.
 
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
 
 #include "radiobcast/core/simulation.h"
 #include "radiobcast/fault/fault_set.h"
 #include "radiobcast/grid/torus.h"
+#include "radiobcast/net/jamming.h"
+#include "radiobcast/net/network.h"
 #include "radiobcast/protocols/pool.h"
 
 namespace rbcast {
 namespace {
 
-/// Runs the same (config, faults) under both engines and returns the pair.
-struct BothResults {
-  SimResult pooled;
-  SimResult behaviors;
-};
+/// run_simulation's trial with every node populated one by one through
+/// make_node_behavior — no shared pool — scored the same way.
+SimResult run_per_node(const SimConfig& cfg, const FaultSet& faults) {
+  const Torus torus(cfg.width, cfg.height);
+  const Coord source = torus.wrap(cfg.source);
+  RadioNetwork net(torus, cfg.r, cfg.metric, cfg.seed);
+  if (cfg.adversary == AdversaryKind::kSpoofing) net.allow_spoofing(true);
+  if (cfg.adversary == AdversaryKind::kJamming) {
+    net.set_channel(std::make_unique<JammingChannel>(
+        torus, cfg.r, cfg.metric, faults.sorted(), cfg.jam_budget));
+  } else if (cfg.loss_p > 0.0) {
+    if (cfg.loss_model == LossModel::kPairwise) {
+      net.set_channel(
+          std::make_unique<PairwiseLossChannel>(cfg.loss_p, cfg.seed));
+    } else {
+      net.set_channel(std::make_unique<IidLossChannel>(cfg.loss_p));
+    }
+  }
+  if (cfg.retransmissions != 1) net.set_retransmissions(cfg.retransmissions);
+  for (const Coord c : torus.all_coords()) {
+    const NodeRole role = c == source          ? NodeRole::kSource
+                          : faults.contains(c) ? NodeRole::kFaulty
+                                               : NodeRole::kHonest;
+    net.set_behavior(c, make_node_behavior(cfg, torus, role));
+  }
+  net.start();
+  const std::int64_t bound =
+      cfg.max_rounds > 0 ? cfg.max_rounds : default_round_bound(cfg);
 
-BothResults run_both(const SimConfig& cfg, const FaultSet& faults) {
-  BothResults out;
-  set_soa_pools_enabled(true);
-  out.pooled = run_simulation(cfg, faults);
-  set_soa_pools_enabled(false);
-  out.behaviors = run_simulation(cfg, faults);
-  set_soa_pools_enabled(true);  // restore the process default
-  return out;
+  SimResult result;
+  result.rounds = net.run_until_quiescent(bound);
+  result.reached_quiescence = net.quiescent();
+  result.transmissions = net.stats().transmissions;
+  result.deliveries = net.stats().deliveries;
+  result.payload_units = net.stats().payload_units;
+  result.counters = net.counters();
+  result.outcomes.assign(static_cast<std::size_t>(torus.node_count()),
+                         NodeOutcome::kUndecided);
+  result.commit_rounds.assign(static_cast<std::size_t>(torus.node_count()),
+                              -1);
+  for (const Coord c : torus.all_coords()) {
+    const auto idx = static_cast<std::size_t>(torus.index(c));
+    if (c == source) {
+      result.outcomes[idx] = NodeOutcome::kSource;
+      result.commit_rounds[idx] = 0;
+      continue;
+    }
+    if (faults.contains(c)) {
+      result.outcomes[idx] = NodeOutcome::kFaulty;
+      continue;
+    }
+    result.honest_nodes += 1;
+    const auto committed = net.committed_value_of(c);
+    if (!committed.has_value()) {
+      result.undecided += 1;
+      continue;
+    }
+    result.commit_rounds[idx] = net.commit_round_of(c).value_or(-1);
+    result.outcomes[idx] = (*committed & 1) ? NodeOutcome::kCommitted1
+                                            : NodeOutcome::kCommitted0;
+    if (*committed == cfg.value) {
+      result.correct_commits += 1;
+    } else {
+      result.wrong_commits += 1;
+    }
+  }
+  return result;
 }
 
-void expect_identical(const BothResults& r, const std::string& tag) {
-  const SimResult& a = r.pooled;
-  const SimResult& b = r.behaviors;
+/// Runs the same (config, faults) both ways and compares the results.
+void expect_identical(const SimConfig& cfg, const FaultSet& faults,
+                      const std::string& tag) {
+  const SimResult a = run_simulation(cfg, faults);
+  const SimResult b = run_per_node(cfg, faults);
   EXPECT_EQ(a.honest_nodes, b.honest_nodes) << tag;
   EXPECT_EQ(a.correct_commits, b.correct_commits) << tag;
   EXPECT_EQ(a.wrong_commits, b.wrong_commits) << tag;
@@ -47,7 +109,7 @@ void expect_identical(const BothResults& r, const std::string& tag) {
   EXPECT_EQ(a.outcomes, b.outcomes) << tag;
   EXPECT_EQ(a.commit_rounds, b.commit_rounds) << tag;
   // Counters must agree except engine_bytes_peak, which measures the state
-  // layout itself and is exactly what the two engines do differently.
+  // layout itself: only the shared pool's state is counted.
   Counters ca = a.counters;
   Counters cb = b.counters;
   EXPECT_GT(ca.engine_bytes_peak, 0u) << tag;
@@ -75,9 +137,9 @@ FaultSet two_faults(const Torus& torus) {
 TEST(PoolEquivalence, CrashFloodMatrix) {
   for (const AdversaryKind adversary :
        {AdversaryKind::kSilent, AdversaryKind::kCrashAtRound}) {
-    SimConfig cfg = base_config(ProtocolKind::kCrashFlood, adversary);
-    Torus torus(cfg.width, cfg.height);
-    expect_identical(run_both(cfg, two_faults(torus)),
+    const SimConfig cfg = base_config(ProtocolKind::kCrashFlood, adversary);
+    const Torus torus(cfg.width, cfg.height);
+    expect_identical(cfg, two_faults(torus),
                      std::string("crash-flood/") + to_string(adversary));
   }
 }
@@ -85,9 +147,9 @@ TEST(PoolEquivalence, CrashFloodMatrix) {
 TEST(PoolEquivalence, CpaMatrix) {
   for (const AdversaryKind adversary :
        {AdversaryKind::kSilent, AdversaryKind::kLying}) {
-    SimConfig cfg = base_config(ProtocolKind::kCpa, adversary);
-    Torus torus(cfg.width, cfg.height);
-    expect_identical(run_both(cfg, two_faults(torus)),
+    const SimConfig cfg = base_config(ProtocolKind::kCpa, adversary);
+    const Torus torus(cfg.width, cfg.height);
+    expect_identical(cfg, two_faults(torus),
                      std::string("cpa/") + to_string(adversary));
   }
 }
@@ -96,9 +158,9 @@ TEST(PoolEquivalence, BvTwoHopMatrix) {
   for (const AdversaryKind adversary :
        {AdversaryKind::kSilent, AdversaryKind::kLying,
         AdversaryKind::kSpoofing}) {
-    SimConfig cfg = base_config(ProtocolKind::kBvTwoHop, adversary);
-    Torus torus(cfg.width, cfg.height);
-    expect_identical(run_both(cfg, two_faults(torus)),
+    const SimConfig cfg = base_config(ProtocolKind::kBvTwoHop, adversary);
+    const Torus torus(cfg.width, cfg.height);
+    expect_identical(cfg, two_faults(torus),
                      std::string("bv-2hop/") + to_string(adversary));
   }
 }
@@ -107,21 +169,21 @@ TEST(PoolEquivalence, BvTwoHopRadiusTwoTrackAfterCommit) {
   SimConfig cfg = base_config(ProtocolKind::kBvTwoHop, AdversaryKind::kLying);
   cfg.r = 2;
   cfg.t = 4;
-  Torus torus(cfg.width, cfg.height);
-  expect_identical(run_both(cfg, two_faults(torus)), "bv-2hop/r2");
+  const Torus torus(cfg.width, cfg.height);
+  expect_identical(cfg, two_faults(torus), "bv-2hop/r2");
 }
 
 TEST(PoolEquivalence, LossyChannelWithRetransmissions) {
   // The lossy slow path consumes channel randomness per delivery; identical
-  // results prove the pool receives callbacks in exactly the same order.
+  // results prove both hosts receive callbacks in exactly the same order.
   for (const ProtocolKind protocol :
        {ProtocolKind::kCrashFlood, ProtocolKind::kCpa,
         ProtocolKind::kBvTwoHop}) {
     SimConfig cfg = base_config(protocol, AdversaryKind::kSilent);
     cfg.loss_p = 0.25;
     cfg.retransmissions = 2;
-    Torus torus(cfg.width, cfg.height);
-    expect_identical(run_both(cfg, two_faults(torus)),
+    const Torus torus(cfg.width, cfg.height);
+    expect_identical(cfg, two_faults(torus),
                      std::string(to_string(protocol)) + "/lossy");
   }
 }
@@ -130,26 +192,13 @@ TEST(PoolEquivalence, PairwiseLossModel) {
   SimConfig cfg = base_config(ProtocolKind::kBvTwoHop, AdversaryKind::kSilent);
   cfg.loss_p = 0.2;
   cfg.loss_model = LossModel::kPairwise;
-  Torus torus(cfg.width, cfg.height);
-  expect_identical(run_both(cfg, two_faults(torus)), "bv-2hop/pairwise");
-}
-
-TEST(PoolEquivalence, UncoveredProtocolIsUnaffectedByToggle) {
-  // bv-4hop has no pool: both runs take the behavior path, and the toggle
-  // must not perturb anything (including the engine_bytes_peak accounting,
-  // which is identical when no pool is installed).
-  SimConfig cfg = base_config(ProtocolKind::kBvIndirectFlood,
-                              AdversaryKind::kLying);
-  Torus torus(cfg.width, cfg.height);
-  const BothResults r = run_both(cfg, two_faults(torus));
-  expect_identical(r, "bv-4hop-flood/lying");
-  EXPECT_EQ(r.pooled.counters.engine_bytes_peak,
-            r.behaviors.counters.engine_bytes_peak);
+  const Torus torus(cfg.width, cfg.height);
+  expect_identical(cfg, two_faults(torus), "bv-2hop/pairwise");
 }
 
 TEST(PoolEquivalence, PoolsAreInstalledWhenSupported) {
-  // Guard against the equivalence suite silently comparing behaviors with
-  // behaviors: the supported() predicate must hold for the matrix geometry.
+  // The supported() predicate must hold for the matrix geometry, or
+  // run_simulation would reject the bv-2hop rows instead of pooling them.
   Torus torus(12, 12);
   EXPECT_TRUE(BvTwoHopPool::supported(torus, 1, Metric::kLInf));
   EXPECT_TRUE(BvTwoHopPool::supported(torus, 2, Metric::kLInf));
@@ -162,8 +211,8 @@ TEST(PoolEquivalence, JammingAdversary) {
   SimConfig cfg = base_config(ProtocolKind::kCrashFlood,
                               AdversaryKind::kJamming);
   cfg.jam_budget = 4;
-  Torus torus(cfg.width, cfg.height);
-  expect_identical(run_both(cfg, two_faults(torus)), "crash-flood/jamming");
+  const Torus torus(cfg.width, cfg.height);
+  expect_identical(cfg, two_faults(torus), "crash-flood/jamming");
 }
 
 }  // namespace

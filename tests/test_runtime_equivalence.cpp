@@ -1,4 +1,4 @@
-// Sim/runtime equivalence: the same protocol objects, run once under the
+// Sim/runtime equivalence: the same protocol code, run once under the
 // discrete-event simulator and once as threads over real loopback UDP
 // sockets, must produce identical per-node verdicts — same committed value,
 // same commit round, for every node — and they must do so under BOTH event
@@ -11,9 +11,11 @@
 // FIFO, and the round synchronizer releases each round's traffic in the
 // simulator's delivery order (sender index ascending, per-sender FIFO) only
 // after every neighbor's ROUND_DONE marker confirms the round is complete.
-// Both backends populate nodes with the same make_node_behavior recipe and
-// run the same default_round_bound horizon, so each behavior observes a
-// byte-identical event sequence on both backends.
+// Both backends run the same protocol code — for crash-flood, cpa and
+// bv-2hop the runtime's make_node_behavior nodes are one-slot views of the
+// pool the simulator shares across its honest nodes — and the same
+// default_round_bound horizon, so each node observes a byte-identical event
+// sequence on both backends.
 
 #include <gtest/gtest.h>
 

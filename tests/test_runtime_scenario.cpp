@@ -424,5 +424,35 @@ TEST(RuntimeNode, RejectsConfigurationsWithoutASocketAnalogue) {
   EXPECT_NO_THROW(RuntimeNode(opts, transport));
 }
 
+TEST(RuntimeNode, RejectsUnsupportedRadiusBeforeFirstRound) {
+  // bv-2hop and bv-4hop refuse r = 8 L-inf (outside the determination
+  // engine) when the node is built — for every role, so no node of such a
+  // deployment starts a round and waits on peers that never will.
+  FaultInjectionTransport transport(0, {});
+  RuntimeNode::Options opts;
+  opts.sim.r = 8;
+  opts.sim.width = opts.sim.height = 4 * opts.sim.r + 2;
+  for (const ProtocolKind protocol :
+       {ProtocolKind::kBvTwoHop, ProtocolKind::kBvIndirectFlood,
+        ProtocolKind::kBvIndirectEarmarked}) {
+    opts.sim.protocol = protocol;
+    for (const NodeRole role :
+         {NodeRole::kSource, NodeRole::kHonest, NodeRole::kFaulty}) {
+      opts.role = role;
+      EXPECT_THROW(RuntimeNode(opts, transport), std::invalid_argument)
+          << to_string(protocol) << " role " << static_cast<int>(role);
+    }
+  }
+  // The largest supported L-inf radius still builds.
+  opts.sim.r = 7;
+  opts.sim.width = opts.sim.height = 4 * opts.sim.r + 2;
+  opts.role = NodeRole::kHonest;
+  for (const ProtocolKind protocol :
+       {ProtocolKind::kBvTwoHop, ProtocolKind::kBvIndirectFlood}) {
+    opts.sim.protocol = protocol;
+    EXPECT_NO_THROW(RuntimeNode(opts, transport)) << to_string(protocol);
+  }
+}
+
 }  // namespace
 }  // namespace rbcast

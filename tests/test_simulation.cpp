@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "radiobcast/core/analysis.h"
+#include "radiobcast/obs/trace.h"
 
 namespace rbcast {
 namespace {
@@ -28,6 +31,48 @@ TEST(Simulation, RejectsTooSmallTorus) {
   cfg.width = 5;  // < 4r+2 = 6
   cfg.r = 1;
   EXPECT_THROW(run_simulation(cfg, FaultSet{}), std::invalid_argument);
+}
+
+TEST(Simulation, RejectsUnsupportedRadiusBeforeRoundOne) {
+  // bv-2hop and bv-4hop run only where the incremental determination engine
+  // does (L-inf r <= 7, L2 r <= 9): r = 8 L-inf is refused while the nodes
+  // are populated, so the trace never sees a round start.
+  for (const ProtocolKind protocol :
+       {ProtocolKind::kBvTwoHop, ProtocolKind::kBvIndirectFlood,
+        ProtocolKind::kBvIndirectEarmarked}) {
+    SimConfig cfg;
+    cfg.r = 8;
+    cfg.width = cfg.height = 4 * cfg.r + 2;
+    cfg.protocol = protocol;
+    RoundTrace trace(64);
+    EXPECT_THROW(run_simulation(cfg, FaultSet{}, ObsOptions{&trace}),
+                 std::invalid_argument)
+        << to_string(protocol);
+    EXPECT_EQ(trace.recorded(), 0u) << to_string(protocol);
+  }
+}
+
+TEST(Simulation, LargestSupportedRadiiRun) {
+  struct Limit {
+    std::int32_t r;
+    Metric metric;
+  };
+  for (const ProtocolKind protocol :
+       {ProtocolKind::kBvTwoHop, ProtocolKind::kBvIndirectFlood}) {
+    for (const Limit limit : {Limit{7, Metric::kLInf}, Limit{9, Metric::kL2}}) {
+      SimConfig cfg;
+      cfg.r = limit.r;
+      cfg.metric = limit.metric;
+      cfg.width = cfg.height = 4 * cfg.r + 2;
+      cfg.protocol = protocol;
+      cfg.max_rounds = 1;
+      SimResult result;
+      EXPECT_NO_THROW(result = run_simulation(cfg, FaultSet{}))
+          << to_string(protocol) << " r=" << limit.r << " "
+          << to_string(limit.metric);
+      EXPECT_EQ(result.rounds, 1) << to_string(protocol);
+    }
+  }
 }
 
 TEST(Simulation, OutcomeVectorIsConsistent) {
