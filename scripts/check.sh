@@ -34,9 +34,10 @@ cmake --build "${build}" -j
 jobs="$(nproc 2>/dev/null || echo 2)"
 if [[ "${quick}" -eq 1 ]]; then
   # The fast representative subset: round engine, simulation runner, campaign
-  # engine, and the observability layer. (~10% of full-suite wall time.)
+  # engine, observability layer, lying adversary, fault placement and the
+  # allocation bounds. (~10% of full-suite wall time.)
   ctest --test-dir "${build}" --output-on-failure -j "${jobs}" \
-    -R '^(Network|Simulation|ThreadPool|Campaign|Counters|RoundTrace|PhaseTimers)'
+    -R '^(Network|Simulation|ThreadPool|Campaign|Counters|RoundTrace|PhaseTimers|Lying|Placement|AllocFreeDelivery)'
 else
   ctest --test-dir "${build}" --output-on-failure -j "${jobs}"
 fi

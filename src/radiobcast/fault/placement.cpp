@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 #include "radiobcast/grid/neighborhood.h"
 
@@ -113,24 +114,44 @@ FaultSet iid_faults(const Torus& torus, double p_f, Rng& rng, Coord exclude) {
 void trim_to_budget(FaultSet& faults, const Torus& torus, std::int32_t r,
                     Metric m, std::int64_t t) {
   const auto& table = NeighborhoodTable::get(r, m);
+  // Only a center whose closed neighborhood holds a fault — a fault f itself
+  // or f - o for a neighborhood offset o — can exceed the bound, and
+  // removals only lower counts. So the scan below visits just those centers,
+  // in the whole-torus scan's row-major (index) order, and keeps their
+  // closed-neighborhood fault counts up to date as faults go.
+  auto for_each_center_of = [&](Coord f, auto&& fn) {
+    fn(torus.index(f));
+    for (const Offset o : table.offsets()) fn(torus.index(f - o));
+  };
+  const std::vector<Coord> initial = faults.sorted();
+  std::vector<std::int32_t> centers;
+  for (const Coord f : initial) {
+    for_each_center_of(f, [&](std::int32_t c) { centers.push_back(c); });
+  }
+  std::sort(centers.begin(), centers.end());
+  centers.erase(std::unique(centers.begin(), centers.end()), centers.end());
+  auto position = [&](std::int32_t c) {
+    return static_cast<std::size_t>(
+        std::lower_bound(centers.begin(), centers.end(), c) - centers.begin());
+  };
+  std::vector<std::int64_t> counts(centers.size(), 0);
+  for (const Coord f : initial) {
+    for_each_center_of(f, [&](std::int32_t c) { ++counts[position(c)]; });
+  }
   while (true) {
     // Find the worst closed neighborhood (first center in row-major order).
     std::int64_t worst_count = t;
     Coord worst_center{};
     bool found = false;
-    for (const Coord c : torus.all_coords()) {
-      std::int64_t count = faults.contains(c) ? 1 : 0;
-      for (const Offset o : table.offsets()) {
-        if (faults.contains(torus.wrap(c + o))) ++count;
-      }
-      if (count > worst_count) {
-        worst_count = count;
-        worst_center = c;
+    for (std::size_t i = 0; i < centers.size(); ++i) {
+      if (counts[i] > worst_count) {
+        worst_count = counts[i];
+        worst_center = torus.coord(centers[i]);
         found = true;
       }
     }
     if (!found) return;
-    // Remove the first fault (row-major) from that neighborhood.
+    // Remove its center if faulty, else its smallest fault by (x, y).
     Coord victim{};
     bool have_victim = false;
     if (faults.contains(worst_center)) {
@@ -150,6 +171,7 @@ void trim_to_budget(FaultSet& faults, const Torus& torus, std::int32_t r,
     }
     if (!have_victim) return;  // defensive; cannot happen
     faults.remove(torus, victim);
+    for_each_center_of(victim, [&](std::int32_t c) { --counts[position(c)]; });
   }
 }
 

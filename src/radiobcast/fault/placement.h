@@ -54,8 +54,10 @@ FaultSet random_bounded(const Torus& torus, std::int32_t r, Metric m,
 /// Independent failures with probability p_f (no local-bound enforcement).
 FaultSet iid_faults(const Torus& torus, double p_f, Rng& rng, Coord exclude);
 
-/// Greedily removes faults (each time from the currently worst closed
-/// neighborhood, in row-major order within it) until the local bound t holds.
+/// Greedily removes faults until the local bound t holds. Each removal takes
+/// the first worst closed neighborhood in row-major order and removes its
+/// center if faulty, else its smallest fault by (x, y). Only centers within r
+/// of a fault are visited, so an empty set costs nothing.
 void trim_to_budget(FaultSet& faults, const Torus& torus, std::int32_t r,
                     Metric m, std::int64_t t);
 

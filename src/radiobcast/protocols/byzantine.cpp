@@ -2,49 +2,45 @@
 
 #include "radiobcast/grid/neighborhood.h"
 
-#include <utility>
-#include <vector>
+#include <algorithm>
 
 namespace rbcast {
 
-namespace {
-
-std::string fingerprint(const Message& m) {
-  std::string out;
-  out.push_back(static_cast<char>(m.type));
-  out.push_back(static_cast<char>(m.value));
-  auto push_coord = [&out](Coord c) {
-    for (int shift = 0; shift < 32; shift += 8) {
-      out.push_back(static_cast<char>(
-          (static_cast<std::uint32_t>(c.x) >> shift) & 0xFF));
-      out.push_back(static_cast<char>(
-          (static_cast<std::uint32_t>(c.y) >> shift) & 0xFF));
-    }
+std::uint64_t FlatKeyTraits<LieKey>::fold(const LieKey& key) {
+  auto pack = [](Coord c) {
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.x))
+            << 32) |
+           static_cast<std::uint32_t>(c.y);
   };
-  push_coord(m.origin);
-  for (const Coord c : m.relayers) push_coord(c);
-  return out;
+  std::uint64_t h = pack(key.origin) ^ key.depth;
+  for (const Coord c : key.relayers) h = det_mix64(h) ^ pack(c);
+  return h;
 }
-
-}  // namespace
 
 void LyingBehavior::on_start(NodeContext& ctx) {
   ctx.broadcast(make_committed(ctx.self(), wrong_value_));
 }
 
 void LyingBehavior::on_receive(NodeContext& ctx, const Envelope& env) {
-  const std::uint8_t flipped = wrong_value_;
-  Message lie;
+  // A COMMITTED yields the claim that its sender committed the wrong value;
+  // a HEARD yields the report relayed with its value flipped. The key comes
+  // straight from the envelope, and the lie is built only when the key is
+  // new: most deliveries repeat a lie this liar already sent.
+  LieKey key;
   if (env.msg.type == MsgType::kCommitted) {
-    // Claim the committer committed the wrong value.
-    lie = make_heard({ctx.self()}, env.sender, flipped);
+    key.origin = env.sender;
   } else {
     if (env.msg.relayers.size() >= 3) return;  // depth cap keeps volume finite
-    RelayerChain chain = env.msg.relayers;
-    chain.push_back(ctx.self());
-    lie = make_heard(chain, env.msg.origin, flipped);
+    key.origin = env.msg.origin;
+    key.depth = static_cast<std::uint8_t>(env.msg.relayers.size());
+    std::copy(env.msg.relayers.begin(), env.msg.relayers.end(),
+              key.relayers.begin());
   }
-  if (sent_.insert(fingerprint(lie)).second) ctx.broadcast(std::move(lie));
+  if (!sent_.insert(key)) return;
+  RelayerChain chain;
+  for (std::uint8_t i = 0; i < key.depth; ++i) chain.push_back(key.relayers[i]);
+  chain.push_back(ctx.self());
+  ctx.broadcast(make_heard(chain, key.origin, wrong_value_));
 }
 
 void SpoofingBehavior::on_start(NodeContext& ctx) {

@@ -13,26 +13,46 @@
 //                       evidence).
 //  * LyingBehavior    — commits to and propagates the wrong value, relays
 //                       every report with its value flipped, and claims that
-//                       every committer it hears committed the wrong value.
-//                       The safety-critical corner: Theorem 2 predicts it can
-//                       never cause an honest wrong commit.
+//                       every committer it hears committed the wrong value,
+//                       sending each distinct lie once. The safety-critical
+//                       corner: Theorem 2 predicts it can never cause an
+//                       honest wrong commit.
 //  * CrashAtRound     — behaves honestly (delegating to an inner behavior)
 //                       until a given round, then goes permanently silent:
 //                       crash-stop mid-protocol.
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
-#include <unordered_set>
 
 #include "radiobcast/net/network.h"
+#include "radiobcast/protocols/pool.h"
 
 namespace rbcast {
 
 class SilentBehavior final : public NodeBehavior {
  public:
   void on_receive(NodeContext&, const Envelope&) override {}
+};
+
+/// One lie of a LyingBehavior, keyed by the fields that vary between its
+/// lies. Every lie is HEARD(relayers[0..depth) + [liar], origin, wrong value):
+/// type, value and closing relayer are fixed per liar, so two lies are equal
+/// iff their keys are, coordinate for coordinate.
+struct LieKey {
+  std::uint8_t depth = 0;           // relayers the lie extends: 0, 1 or 2
+  Coord origin{};
+  std::array<Coord, 2> relayers{};  // the first `depth`; the rest stay {0, 0}
+
+  friend bool operator==(const LieKey&, const LieKey&) = default;
+};
+
+/// No lie extends more than two relayers, so depth 0xFF marks a free slot.
+template <>
+struct FlatKeyTraits<LieKey> {
+  static constexpr LieKey empty() { return LieKey{0xFF}; }
+  static std::uint64_t fold(const LieKey& key);
 };
 
 class LyingBehavior final : public NodeBehavior {
@@ -47,7 +67,10 @@ class LyingBehavior final : public NodeBehavior {
 
  private:
   std::uint8_t wrong_value_;
-  std::unordered_set<std::string> sent_;  // volume bound, not honesty
+  // Every lie sent so far: bounds the liar's volume, not its honesty. A
+  // delivery costs one fold and one probe; the table is never iterated, so
+  // its layout cannot reach the output. Not counted in engine_bytes_peak.
+  FlatKeySet<LieKey> sent_;
 };
 
 /// Address-spoofing liar (Section X's negative control): impersonates its

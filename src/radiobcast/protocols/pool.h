@@ -61,19 +61,33 @@ class DenseBits {
   std::vector<std::uint64_t> words_;
 };
 
-/// Open-addressing set of packed uint64 keys (linear probing, power-of-two
-/// capacity, grown at ~0.7 load). Keys must never equal ~0ull (the empty
-/// sentinel) — every packing below keeps key bits well under 64. The growth
-/// schedule is a pure function of the insertion sequence, so bytes() is
-/// deterministic across platforms.
-class PackedKeySet {
+/// Key policy of FlatKeySet: empty() marks a free slot, so no stored key may
+/// equal it, and fold() reduces a key to the 64 bits det_mix64 spreads over
+/// the slots (equal keys must fold equally).
+template <class Key>
+struct FlatKeyTraits;
+
+/// Packed keys fold to themselves. No packing below may produce ~0ull — every
+/// one keeps its key bits well under 64.
+template <>
+struct FlatKeyTraits<std::uint64_t> {
+  static constexpr std::uint64_t empty() { return ~0ULL; }
+  static constexpr std::uint64_t fold(std::uint64_t key) { return key; }
+};
+
+/// Open-addressing set (linear probing, power-of-two capacity, grown at ~0.7
+/// load). Probes compare whole keys, so two keys that fold alike cost a probe
+/// step, never a false match. The growth schedule is a pure function of the
+/// insertion sequence, so bytes() is deterministic across platforms.
+template <class Key>
+class FlatKeySet {
  public:
-  PackedKeySet() : keys_(kInitialCapacity, kEmpty) {}
+  FlatKeySet() : keys_(kInitialCapacity, Traits::empty()) {}
 
   /// Inserts `key`; returns true iff it was not already present.
-  bool insert(std::uint64_t key) {
+  bool insert(const Key& key) {
     std::size_t i = slot_of(key);
-    while (keys_[i] != kEmpty) {
+    while (keys_[i] != Traits::empty()) {
       if (keys_[i] == key) return false;
       i = (i + 1) & (keys_.size() - 1);
     }
@@ -83,9 +97,9 @@ class PackedKeySet {
     return true;
   }
 
-  bool contains(std::uint64_t key) const {
+  bool contains(const Key& key) const {
     std::size_t i = slot_of(key);
-    while (keys_[i] != kEmpty) {
+    while (keys_[i] != Traits::empty()) {
       if (keys_[i] == key) return true;
       i = (i + 1) & (keys_.size() - 1);
     }
@@ -93,30 +107,34 @@ class PackedKeySet {
   }
 
   std::size_t size() const { return size_; }
-  std::uint64_t bytes() const { return keys_.size() * sizeof(std::uint64_t); }
+  std::uint64_t bytes() const { return keys_.size() * sizeof(Key); }
 
  private:
-  static constexpr std::uint64_t kEmpty = ~0ULL;
+  using Traits = FlatKeyTraits<Key>;
   static constexpr std::size_t kInitialCapacity = 16;
 
-  std::size_t slot_of(std::uint64_t key) const {
-    return static_cast<std::size_t>(det_mix64(key)) & (keys_.size() - 1);
+  std::size_t slot_of(const Key& key) const {
+    return static_cast<std::size_t>(det_mix64(Traits::fold(key))) &
+           (keys_.size() - 1);
   }
 
   void grow() {
-    std::vector<std::uint64_t> old = std::move(keys_);
-    keys_.assign(old.size() * 2, kEmpty);
-    for (const std::uint64_t key : old) {
-      if (key == kEmpty) continue;
+    std::vector<Key> old = std::move(keys_);
+    keys_.assign(old.size() * 2, Traits::empty());
+    for (const Key& key : old) {
+      if (key == Traits::empty()) continue;
       std::size_t i = slot_of(key);
-      while (keys_[i] != kEmpty) i = (i + 1) & (keys_.size() - 1);
+      while (keys_[i] != Traits::empty()) i = (i + 1) & (keys_.size() - 1);
       keys_[i] = key;
     }
   }
 
-  std::vector<std::uint64_t> keys_;
+  std::vector<Key> keys_;
   std::size_t size_ = 0;
 };
+
+/// The set of packed uint64 keys the pools store their relations in.
+using PackedKeySet = FlatKeySet<std::uint64_t>;
 
 /// Open-addressing map from packed uint64 keys to uint32 values, same scheme
 /// as PackedKeySet. slot() inserts a zero-initialized value on first access

@@ -1,7 +1,8 @@
 // Zero-allocation contract of the optimized round engine (docs/PERF.md):
 // once a RadioNetwork is started, the steady-state delivery path — CSR
 // fan-out, small-buffer message copies, retransmission repeats, pool and
-// behavior dispatch — performs no heap allocation at all. Pinned with the same
+// behavior dispatch — performs no heap allocation at all, and the lying
+// adversary allocates only when its lie table grows. Pinned with the same
 // global-operator-new counter technique as the RoundTrace tests
 // (tests/test_obs.cpp); the counter lives in this binary, so any allocation
 // anywhere in the measured window trips the assertion.
@@ -13,7 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include "radiobcast/core/experiment.h"
 #include "radiobcast/net/network.h"
+#include "radiobcast/protocols/byzantine.h"
 #include "radiobcast/protocols/pool.h"
 #include "radiobcast/protocols/source.h"
 
@@ -78,6 +81,43 @@ TEST(AllocFreeDelivery, CrashFloodWholeRunIsAllocationFree) {
   EXPECT_TRUE(net.quiescent());
   EXPECT_EQ(net.counters().commits, 12u * 12u);  // source commits at start too
   EXPECT_GT(net.counters().envelopes_delivered, 0u);
+}
+
+TEST(AllocFreeDelivery, LyingTrialAllocatesFarLessThanItQueuesHeards) {
+  // E1's lying barrier at r = 2: a 20x20 torus, checkerboard strips trimmed
+  // to t = 4, honest bv-2hop nodes in the pool. A liar keys every delivery
+  // into a flat lie table, so only the growth of that table and of the
+  // pool's tables allocates — far less than once per queued HEARD, while
+  // each of the thousands of HEARDs reaches a liar or two.
+  const std::int32_t r = 2;
+  const std::int64_t t = 4;
+  const Torus torus(20, 20);
+  const Coord source{0, 0};
+  PlacementConfig placement;
+  placement.kind = PlacementKind::kCheckerboardStrip;
+  Rng rng(1);
+  const FaultSet faults =
+      make_faults(placement, torus, r, Metric::kLInf, t, source, rng);
+  ASSERT_FALSE(faults.empty());
+  RadioNetwork net(torus, r, Metric::kLInf, 1);
+  net.set_pool(std::make_unique<BvTwoHopPool>(ProtocolParams{t, source},
+                                              torus, r, Metric::kLInf));
+  for (const Coord c : torus.all_coords()) {
+    if (c == source) {
+      net.set_behavior(c, std::make_unique<SourceBehavior>(1));
+    } else if (faults.contains(c)) {
+      net.set_behavior(c, std::make_unique<LyingBehavior>(0));
+    } else {
+      net.assign_to_pool(c);
+    }
+  }
+  net.start();
+  const std::uint64_t before = g_allocations.load();
+  net.run_until_quiescent(1000);
+  const std::uint64_t allocations = g_allocations.load() - before;
+  EXPECT_TRUE(net.quiescent());
+  EXPECT_GT(net.counters().heard_queued, 0u);
+  EXPECT_LT(allocations, net.counters().heard_queued / 16);
 }
 
 TEST(AllocFreeDelivery, HeardRetransmissionSteadyStateIsAllocationFree) {

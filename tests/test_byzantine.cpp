@@ -1,5 +1,8 @@
 #include "radiobcast/protocols/byzantine.h"
 
+#include <stdexcept>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "radiobcast/core/simulation.h"
@@ -102,6 +105,65 @@ TEST(Lying, CapsRelayDepth) {
   net.run_round();
   net.run_round();
   EXPECT_EQ(net.transmissions_of(liar), 1u);  // only the start COMMITTED
+}
+
+/// A backend that records what its node queues, in order.
+class QueueRecorder final : public BroadcastBackend {
+ public:
+  const Torus& torus() const override { return torus_; }
+  std::int32_t radius() const override { return 1; }
+  Metric metric() const override { return Metric::kLInf; }
+  std::int64_t round() const override { return 0; }
+  Rng& rng() override { return rng_; }
+  void queue_broadcast(Coord, Message msg) override { queued.push_back(msg); }
+  void queue_spoofed_broadcast(Coord, Coord, Message) override {
+    throw std::logic_error("spoofing");
+  }
+  void record_commit(Coord, std::uint8_t) override {}
+
+  std::vector<Message> queued;
+
+ private:
+  Torus torus_{12, 12};
+  Rng rng_{1};
+};
+
+TEST(Lying, SendsEachDistinctLieOnce) {
+  QueueRecorder backend;
+  const Coord liar{5, 5};
+  NodeContext ctx(backend, liar);
+  LyingBehavior b(0);
+  b.on_start(ctx);
+  // The same HEARD twice: one lie.
+  b.on_receive(ctx, {{5, 4}, make_heard({{5, 4}}, {5, 3}, 1)});
+  b.on_receive(ctx, {{5, 4}, make_heard({{5, 4}}, {5, 3}, 1)});
+  // Two HEARDs that differ only in value: the lie carries the wrong value
+  // either way, so one lie.
+  b.on_receive(ctx, {{6, 4}, make_heard({{6, 4}}, {6, 3}, 1)});
+  b.on_receive(ctx, {{6, 4}, make_heard({{6, 4}}, {6, 3}, 0)});
+  // A chain and its one-shorter prefix: two lies.
+  b.on_receive(ctx, {{4, 5}, make_heard({{4, 6}, {4, 5}}, {4, 7}, 1)});
+  b.on_receive(ctx, {{4, 6}, make_heard({{4, 6}}, {4, 7}, 1)});
+  // A COMMITTED and a HEARD about the same origin: two lies.
+  b.on_receive(ctx, {{6, 6}, make_committed({6, 6}, 1)});
+  b.on_receive(ctx, {{6, 5}, make_heard({{6, 5}}, {6, 6}, 1)});
+  // A depth-3 chain: past the relay cap, no lie.
+  b.on_receive(ctx,
+               {{5, 6}, make_heard({{5, 8}, {5, 7}, {5, 6}}, {5, 9}, 1)});
+  const std::vector<Message> expected = {
+      make_committed(liar, 0),
+      make_heard({{5, 4}, liar}, {5, 3}, 0),
+      make_heard({{6, 4}, liar}, {6, 3}, 0),
+      make_heard({{4, 6}, {4, 5}, liar}, {4, 7}, 0),
+      make_heard({{4, 6}, liar}, {4, 7}, 0),
+      make_heard({liar}, {6, 6}, 0),
+      make_heard({{6, 5}, liar}, {6, 6}, 0),
+  };
+  ASSERT_EQ(backend.queued.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(backend.queued[i], expected[i])
+        << i << ": " << to_string(backend.queued[i]);
+  }
 }
 
 TEST(CrashAtRound, HonestUntilCrash) {

@@ -1,13 +1,62 @@
 #include "radiobcast/fault/placement.h"
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "radiobcast/core/analysis.h"
+#include "radiobcast/grid/neighborhood.h"
 
 namespace rbcast {
 namespace {
 
 constexpr Coord kSource{0, 0};
+
+/// The whole-torus form of trim_to_budget, the reference its scan of the
+/// centers near a fault must match: before each removal, count the closed
+/// neighborhood of every center of the torus and take the first worst one in
+/// row-major order.
+void trim_whole_torus(FaultSet& faults, const Torus& torus, std::int32_t r,
+                      Metric m, std::int64_t t) {
+  const auto& table = NeighborhoodTable::get(r, m);
+  while (true) {
+    std::int64_t worst_count = t;
+    Coord worst_center{};
+    bool found = false;
+    for (const Coord c : torus.all_coords()) {
+      std::int64_t count = faults.contains(c) ? 1 : 0;
+      for (const Offset o : table.offsets()) {
+        if (faults.contains(torus.wrap(c + o))) ++count;
+      }
+      if (count > worst_count) {
+        worst_count = count;
+        worst_center = c;
+        found = true;
+      }
+    }
+    if (!found) return;
+    Coord victim{};
+    bool have_victim = false;
+    if (faults.contains(worst_center)) {
+      victim = worst_center;
+      have_victim = true;
+    } else {
+      std::vector<Coord> members;
+      for (const Offset o : table.offsets()) {
+        const Coord c = torus.wrap(worst_center + o);
+        if (faults.contains(c)) members.push_back(c);
+      }
+      std::sort(members.begin(), members.end());
+      if (!members.empty()) {
+        victim = members.front();
+        have_victim = true;
+      }
+    }
+    if (!have_victim) return;
+    faults.remove(torus, victim);
+  }
+}
 
 TEST(Placement, FullStripCoversAllRows) {
   const Torus torus(20, 20);
@@ -167,6 +216,37 @@ TEST(Placement, TrimToBudgetNoopWhenAlreadyLegal) {
   FaultSet f(torus, {{5, 5}, {15, 15}});
   trim_to_budget(f, torus, 2, Metric::kLInf, 1);
   EXPECT_EQ(f.size(), 2u);
+}
+
+TEST(Placement, TrimToBudgetMatchesWholeTorusScan) {
+  int trimmed = 0;  // cases that started over budget
+  for (std::int32_t r = 1; r <= 3; ++r) {
+    const Torus torus(5 * r + 5, 4 * r + 6);
+    for (const Metric m : {Metric::kLInf, Metric::kL2}) {
+      Rng rng(static_cast<std::uint64_t>(10 * r + static_cast<int>(m)));
+      const std::vector<FaultSet> patterns = {
+          full_strip(torus, 2, r, kSource),
+          punctured_strip(torus, 2, r, 2 * r + 1, kSource),
+          checkerboard_strip(torus, 2, r + 1, 0, kSource),
+          iid_faults(torus, 0.4, rng, kSource),
+      };
+      const std::int64_t full = r_2r_plus_1(r);
+      for (const std::int64_t t : {std::int64_t{0}, std::int64_t{1},
+                                   full / 2, full - 1}) {
+        for (std::size_t p = 0; p < patterns.size(); ++p) {
+          if (!satisfies_local_bound(torus, patterns[p], r, m, t)) ++trimmed;
+          FaultSet fast = patterns[p];
+          FaultSet reference = patterns[p];
+          trim_to_budget(fast, torus, r, m, t);
+          trim_whole_torus(reference, torus, r, m, t);
+          EXPECT_EQ(fast.sorted(), reference.sorted())
+              << "r=" << r << " m=" << to_string(m) << " t=" << t
+              << " pattern=" << p;
+        }
+      }
+    }
+  }
+  EXPECT_GE(trimmed, 80);
 }
 
 TEST(Placement, TrimToBudgetZeroRemovesEverything) {
