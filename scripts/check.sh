@@ -33,11 +33,13 @@ cmake --build "${build}" -j
 
 jobs="$(nproc 2>/dev/null || echo 2)"
 if [[ "${quick}" -eq 1 ]]; then
-  # The fast representative subset: round engine, simulation runner, campaign
-  # engine, observability layer, lying adversary, fault placement and the
-  # allocation bounds. (~10% of full-suite wall time.)
+  # The fast representative subset: round engine and its dispatch contract,
+  # simulation runner, campaign engine, observability layer, lying
+  # adversary, fault placement, the allocation bounds, the ignore
+  # declarations and the pool slot-view equivalence. (~10% of full-suite
+  # wall time.)
   ctest --test-dir "${build}" --output-on-failure -j "${jobs}" \
-    -R '^(Network|Simulation|ThreadPool|Campaign|Counters|RoundTrace|PhaseTimers|Lying|Placement|AllocFreeDelivery)'
+    -R '^(Network|Simulation|ThreadPool|Campaign|Counters|RoundTrace|PhaseTimers|Lying|Placement|AllocFreeDelivery|IgnoreMask|PoolEquivalence)'
 else
   ctest --test-dir "${build}" --output-on-failure -j "${jobs}"
 fi

@@ -62,6 +62,10 @@ class BroadcastBackend {
 
   /// Observability hook backing NodeContext::note_commit.
   virtual void record_commit(Coord node, std::uint8_t value) = 0;
+
+  /// Dispatch hint backing NodeContext::ignore. The default delivers
+  /// everything, which is always correct.
+  virtual void ignore(Coord /*node*/, MessageClasses /*classes*/) {}
 };
 
 /// Capabilities handed to a behavior during its callbacks.
@@ -91,6 +95,15 @@ class NodeContext {
   /// fires (see protocols/*::commit). Bumps the backend's commit counter and
   /// emits a node_committed trace event; has no effect on the protocol.
   void note_commit(std::uint8_t value) { net_->record_commit(self_, value); }
+
+  /// Declares that this node's handler returns on every future delivery in
+  /// `classes` before touching any state, so the backend may stop handing
+  /// them over. Declarations accumulate; none is ever withdrawn. A node may
+  /// declare only what it discards unconditionally from then on: the
+  /// simulator skips those deliveries after counting and tracing them, while
+  /// the runtime ignores the hint, and the sim-vs-runtime equivalence suite
+  /// holds the two to the same verdicts.
+  void ignore(MessageClasses classes) { net_->ignore(self_, classes); }
 
  private:
   BroadcastBackend* net_;

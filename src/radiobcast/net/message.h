@@ -91,6 +91,39 @@ struct Message {
   friend bool operator==(const Message&, const Message&) = default;
 };
 
+/// A set of delivery classes: COMMITTED is one class, and HEARD is one class
+/// per relayer count (0 through RelayerChain::kCapacity), so a node can name
+/// exactly the deliveries its handler drops on arrival (NodeContext::ignore).
+class MessageClasses {
+ public:
+  constexpr MessageClasses() = default;
+
+  static constexpr MessageClasses all() { return MessageClasses(kAllBits); }
+  /// Every HEARD with at least `min_relayers` relayers
+  /// (min_relayers <= RelayerChain::kCapacity).
+  static constexpr MessageClasses heard_from(std::size_t min_relayers) {
+    return MessageClasses(
+        static_cast<std::uint8_t>(kAllBits & ~((2u << min_relayers) - 1)));
+  }
+  /// The one class `msg` belongs to.
+  static MessageClasses of(const Message& msg) {
+    return MessageClasses(static_cast<std::uint8_t>(
+        msg.type == MsgType::kCommitted ? 1u : 2u << msg.relayers.size()));
+  }
+
+  /// One bit per class: bit 0 is COMMITTED, bit 1 + k a HEARD with k
+  /// relayers.
+  constexpr std::uint8_t bits() const { return bits_; }
+
+ private:
+  static constexpr std::uint8_t kAllBits =
+      (1u << (RelayerChain::kCapacity + 2)) - 1;
+
+  explicit constexpr MessageClasses(std::uint8_t bits) : bits_(bits) {}
+
+  std::uint8_t bits_ = 0;
+};
+
 Message make_committed(Coord origin, std::uint8_t value);
 Message make_heard(RelayerChain relayers, Coord origin, std::uint8_t value);
 

@@ -1,7 +1,9 @@
 #include "radiobcast/net/network.h"
 
+#include <array>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 namespace rbcast {
 
@@ -25,14 +27,39 @@ RadioNetwork::RadioNetwork(Torus torus, std::int32_t r, Metric metric,
       adjacency_(Adjacency::get(torus_, table_)),
       node_coords_(torus_.all_coords()),
       behaviors_(static_cast<std::size_t>(torus_.node_count())),
-      in_pool_(static_cast<std::size_t>(torus_.node_count()), 0),
+      node_flags_(static_cast<std::size_t>(torus_.node_count()), 0),
       tx_count_(static_cast<std::size_t>(torus_.node_count()), 0) {
+  // Take over the buffers earlier networks on this thread grew, so a
+  // campaign worker grows its flood buffers once, not once per trial.
   // Reserving up to one fresh broadcast per node keeps the steady-state
   // delivery loop allocation-free (every flood protocol queues at most one
   // broadcast per node per round; heavier traffic grows the buffers once and
   // the round-to-round swap below then reuses their capacity).
+  std::array<std::vector<Pending>, 3>& spare = spare_buffers();
+  pending_.swap(spare[0]);
+  outbox_.swap(spare[1]);
+  repeats_.swap(spare[2]);
   pending_.reserve(static_cast<std::size_t>(torus_.node_count()));
   outbox_.reserve(static_cast<std::size_t>(torus_.node_count()));
+}
+
+RadioNetwork::~RadioNetwork() {
+  // Insertion by capacity: the spare keeps the three largest of its buffers
+  // and this network's, whichever of them ended the trial as pending_, so
+  // the next network's pending_/outbox_ ping-pong gets the two largest.
+  std::array<std::vector<Pending>, 3>& spare = spare_buffers();
+  for (std::vector<Pending>* buffer : {&pending_, &outbox_, &repeats_}) {
+    buffer->clear();
+    for (std::vector<Pending>& slot : spare) {
+      if (buffer->capacity() > slot.capacity()) slot.swap(*buffer);
+    }
+  }
+}
+
+std::array<std::vector<RadioNetwork::Pending>, 3>&
+RadioNetwork::spare_buffers() {
+  thread_local std::array<std::vector<Pending>, 3> spare;
+  return spare;
 }
 
 void RadioNetwork::set_channel(std::unique_ptr<ChannelModel> channel) {
@@ -49,7 +76,7 @@ void RadioNetwork::set_retransmissions(int count) {
 void RadioNetwork::set_behavior(Coord c, std::unique_ptr<NodeBehavior> b) {
   const auto idx = static_cast<std::size_t>(torus_.index(c));
   behaviors_[idx] = std::move(b);
-  in_pool_[idx] = 0;
+  node_flags_[idx] = 0;
 }
 
 void RadioNetwork::set_pool(std::unique_ptr<NodePool> pool) {
@@ -61,7 +88,7 @@ void RadioNetwork::assign_to_pool(Coord c) {
   if (pool_ == nullptr) throw std::logic_error("assign_to_pool without a pool");
   const auto idx = static_cast<std::size_t>(torus_.index(c));
   behaviors_[idx].reset();
-  in_pool_[idx] = 1;
+  node_flags_[idx] = kPoolManaged;
 }
 
 NodeBehavior* RadioNetwork::behavior(Coord c) {
@@ -74,7 +101,7 @@ const NodeBehavior* RadioNetwork::behavior(Coord c) const {
 
 std::optional<std::uint8_t> RadioNetwork::committed_value_of(Coord c) const {
   const std::int32_t i = torus_.index(c);
-  if (in_pool_[static_cast<std::size_t>(i)]) {
+  if (node_flags_[static_cast<std::size_t>(i)] & kPoolManaged) {
     return pool_->committed_value(i);
   }
   const NodeBehavior* b = behaviors_[static_cast<std::size_t>(i)].get();
@@ -83,7 +110,7 @@ std::optional<std::uint8_t> RadioNetwork::committed_value_of(Coord c) const {
 
 std::optional<std::int64_t> RadioNetwork::commit_round_of(Coord c) const {
   const std::int32_t i = torus_.index(c);
-  if (in_pool_[static_cast<std::size_t>(i)]) {
+  if (node_flags_[static_cast<std::size_t>(i)] & kPoolManaged) {
     return pool_->commit_round(i);
   }
   const NodeBehavior* b = behaviors_[static_cast<std::size_t>(i)].get();
@@ -116,6 +143,11 @@ void RadioNetwork::record_commit(Coord node, std::uint8_t value) {
   }
 }
 
+void RadioNetwork::ignore(Coord node, MessageClasses classes) {
+  node_flags_[static_cast<std::size_t>(torus_.index(torus_.wrap(node)))] |=
+      static_cast<std::uint8_t>(classes.bits() << kIgnoreShift);
+}
+
 void RadioNetwork::queue_broadcast(Coord sender, Message msg) {
   const Coord canon = torus_.wrap(sender);
   count_queued(msg);
@@ -144,7 +176,9 @@ void RadioNetwork::start() {
   if (started_) throw std::logic_error("RadioNetwork::start called twice");
   behavior_nodes_.clear();
   for (std::int64_t i = 0; i < torus_.node_count(); ++i) {
-    if (in_pool_[static_cast<std::size_t>(i)]) continue;  // no start work
+    if (node_flags_[static_cast<std::size_t>(i)] & kPoolManaged) {
+      continue;  // no start work
+    }
     NodeBehavior* b = behaviors_[static_cast<std::size_t>(i)].get();
     if (b == nullptr) {
       throw std::logic_error("node " + to_string(torus_.coord(
@@ -167,6 +201,18 @@ void RadioNetwork::start() {
           sizeof(std::int32_t) +
       behavior_nodes_.size() * sizeof(std::int32_t);
   update_engine_bytes();
+}
+
+inline void RadioNetwork::dispatch(std::int32_t ri, const Envelope& env,
+                                   std::uint8_t class_flag) {
+  const std::uint8_t flags = node_flags_[static_cast<std::size_t>(ri)];
+  if (flags & class_flag) return;  // the node discards this class unread
+  NodeContext ctx(*this, node_coords_[static_cast<std::size_t>(ri)]);
+  if (flags & kPoolManaged) {
+    pool_->on_receive(ctx, ri, env);
+  } else {
+    behaviors_[static_cast<std::size_t>(ri)]->on_receive(ctx, env);
+  }
 }
 
 void RadioNetwork::run_round() {
@@ -193,20 +239,18 @@ void RadioNetwork::run_round() {
     stats_.payload_units += 2 + env.msg.relayers.size();
     const std::span<const std::int32_t> receivers =
         adjacency_.receivers(p.sender_index);
+    // A receiver whose ignore mask holds this transmission's class is
+    // skipped only at dispatch, after the delivery counters, the channel
+    // draw and the trace event, so no counter, RNG draw or trace byte moves.
+    const auto class_flag = static_cast<std::uint8_t>(
+        MessageClasses::of(env.msg).bits() << kIgnoreShift);
     if (fast_path) {
       // A channel honoring always_delivers() consumes no randomness and a
       // null trace emits nothing, so the per-receiver checks collapse to
-      // bulk counter updates plus the behavior dispatch.
+      // bulk counter updates plus the dispatch.
       stats_.deliveries += receivers.size();
       counters_.envelopes_delivered += receivers.size();
-      for (const std::int32_t ri : receivers) {
-        NodeContext ctx(*this, node_coords_[static_cast<std::size_t>(ri)]);
-        if (in_pool_[static_cast<std::size_t>(ri)]) {
-          pool_->on_receive(ctx, ri, env);
-        } else {
-          behaviors_[static_cast<std::size_t>(ri)]->on_receive(ctx, env);
-        }
-      }
+      for (const std::int32_t ri : receivers) dispatch(ri, env, class_flag);
     } else {
       for (const std::int32_t ri : receivers) {
         // Receivers are the ACTUAL transmitter's neighbors, even when the
@@ -230,12 +274,7 @@ void RadioNetwork::run_round() {
           e.msg_type = env.msg.type == MsgType::kCommitted ? 0 : 1;
           trace_->record(e);
         }
-        NodeContext ctx(*this, receiver);
-        if (in_pool_[static_cast<std::size_t>(ri)]) {
-          pool_->on_receive(ctx, ri, env);
-        } else {
-          behaviors_[static_cast<std::size_t>(ri)]->on_receive(ctx, env);
-        }
+        dispatch(ri, env, class_flag);
       }
     }
     if (p.repeats_left > 0) {

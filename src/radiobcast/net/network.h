@@ -13,6 +13,7 @@
 // deterministic serialization of the TDMA schedule. The simulation is fully
 // deterministic given the seed.
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -49,6 +50,10 @@ struct TrafficStats {
 class RadioNetwork final : public BroadcastBackend {
  public:
   RadioNetwork(Torus torus, std::int32_t r, Metric metric, std::uint64_t seed);
+  RadioNetwork(RadioNetwork&&) = default;
+  /// Hands the message buffers' capacity to this thread's spare, where the
+  /// next network constructed on the thread takes it back.
+  ~RadioNetwork() override;
 
   const Torus& torus() const override { return torus_; }
   std::int32_t radius() const override { return r_; }
@@ -135,6 +140,8 @@ class RadioNetwork final : public BroadcastBackend {
   void queue_spoofed_broadcast(Coord actual_sender, Coord claimed_sender,
                                Message msg) override;
   void count_queued(const Message& msg);
+  /// Sets `classes` in the node's ignore mask (NodeContext::ignore).
+  void ignore(Coord node, MessageClasses classes) override;
 
   /// A transmission awaiting delivery; `repeats_left` further copies will be
   /// scheduled in subsequent rounds. `actual_sender` determines who hears it
@@ -147,6 +154,19 @@ class RadioNetwork final : public BroadcastBackend {
     std::int32_t sender_index;
     int repeats_left;
   };
+
+  /// Hands `env` to node `ri` unless its ignore mask holds `class_flag`
+  /// (the transmission's class bit, shifted to the mask's position).
+  void dispatch(std::int32_t ri, const Envelope& env, std::uint8_t class_flag);
+
+  /// Message buffers of networks destroyed on this thread, cleared, largest
+  /// capacity first.
+  static std::array<std::vector<Pending>, 3>& spare_buffers();
+
+  /// node_flags_ bits: bit 0 marks a pool-managed node; bits 1 and up hold
+  /// the ignore mask, MessageClasses::bits() shifted by kIgnoreShift.
+  static constexpr std::uint8_t kPoolManaged = 1;
+  static constexpr int kIgnoreShift = 1;
 
   Torus torus_;
   std::int32_t r_;
@@ -169,7 +189,7 @@ class RadioNetwork final : public BroadcastBackend {
 
   std::vector<std::unique_ptr<NodeBehavior>> behaviors_;  // by node index
   std::unique_ptr<NodePool> pool_;      // optional SoA state (net/pool.h)
-  std::vector<std::uint8_t> in_pool_;   // by node index; 1 = pool-managed
+  std::vector<std::uint8_t> node_flags_;  // by node index, bits as above
   std::vector<std::int32_t> behavior_nodes_;  // non-pool indices (at start())
   std::uint64_t fixed_state_bytes_ = 0;       // computed at start()
   std::vector<std::uint64_t> tx_count_;                   // by node index

@@ -127,6 +127,11 @@ void BvIndirectBehavior::commit(NodeContext& ctx, std::uint8_t value) {
   commit_round_ = ctx.round();
   ctx.note_commit(value);
   ctx.broadcast(make_committed(ctx.self(), value));
+  // handle_heard now drops full-length chains first thing: it stops
+  // recording and cannot extend them.
+  if (!params_.track_after_commit) {
+    ctx.ignore(MessageClasses::heard_from(kMaxRelayers));
+  }
 }
 
 void BvIndirectBehavior::determine(NodeContext& ctx, Coord origin,
@@ -175,7 +180,9 @@ void BvIndirectBehavior::handle_heard(NodeContext& ctx, const Envelope& env) {
   // A full-length chain cannot be extended, so once this node stops
   // recording evidence such a delivery is a complete no-op — skip even the
   // cached validation. Committed nodes receiving depth-3 floods are the
-  // dominant late-trial delivery, so this branch carries most of them.
+  // dominant late-trial delivery; commit() declares them ignored, so the
+  // simulator stops dispatching them and only hosts that deliver everything
+  // (the runtime) reach this branch.
   if (!recording && msg.relayers.size() >= kMaxRelayers) return;
 
   // Receiver-independent validation, computed once per transmission and

@@ -17,8 +17,17 @@ std::uint64_t FlatKeyTraits<LieKey>::fold(const LieKey& key) {
   return h;
 }
 
+namespace {
+
+/// Chains with this many relayers are full (the protocol's three); a liar
+/// extends only shorter ones.
+constexpr std::size_t kMaxRelayers = 3;
+
+}  // namespace
+
 void LyingBehavior::on_start(NodeContext& ctx) {
   ctx.broadcast(make_committed(ctx.self(), wrong_value_));
+  ctx.ignore(MessageClasses::heard_from(kMaxRelayers));  // see the depth cap
 }
 
 void LyingBehavior::on_receive(NodeContext& ctx, const Envelope& env) {
@@ -30,7 +39,8 @@ void LyingBehavior::on_receive(NodeContext& ctx, const Envelope& env) {
   if (env.msg.type == MsgType::kCommitted) {
     key.origin = env.sender;
   } else {
-    if (env.msg.relayers.size() >= 3) return;  // depth cap keeps volume finite
+    // The depth cap keeps the volume finite.
+    if (env.msg.relayers.size() >= kMaxRelayers) return;
     key.origin = env.msg.origin;
     key.depth = static_cast<std::uint8_t>(env.msg.relayers.size());
     std::copy(env.msg.relayers.begin(), env.msg.relayers.end(),
@@ -44,6 +54,7 @@ void LyingBehavior::on_receive(NodeContext& ctx, const Envelope& env) {
 }
 
 void SpoofingBehavior::on_start(NodeContext& ctx) {
+  ctx.ignore(MessageClasses::all());  // all its lies go out at start
   ctx.broadcast(make_committed(ctx.self(), wrong_value_));
   // Immediately impersonate every neighbor, claiming each committed to the
   // wrong value. The forged claims land before the honest wave arrives and,

@@ -33,6 +33,9 @@ namespace rbcast {
 
 class SilentBehavior final : public NodeBehavior {
  public:
+  void on_start(NodeContext& ctx) override {
+    ctx.ignore(MessageClasses::all());
+  }
   void on_receive(NodeContext&, const Envelope&) override {}
 };
 

@@ -15,6 +15,7 @@ void CrashFloodPool::on_receive(NodeContext& ctx, std::int32_t node,
   state_.set(node, env.msg.value, ctx.round());
   ctx.note_commit(env.msg.value);
   ctx.broadcast(make_committed(ctx.self(), env.msg.value));
+  ctx.ignore(MessageClasses::all());  // terminated: the first check drops all
 }
 
 // ---------------------------------------------------------------------------
@@ -24,6 +25,7 @@ void CpaPool::commit(NodeContext& ctx, std::int32_t node, std::uint8_t value) {
   state_.set(node, value, ctx.round());
   ctx.note_commit(value);
   ctx.broadcast(make_committed(ctx.self(), value));
+  ctx.ignore(MessageClasses::all());  // terminated: the first check drops all
 }
 
 void CpaPool::on_receive(NodeContext& ctx, std::int32_t node,
@@ -87,6 +89,9 @@ void BvTwoHopPool::commit(NodeContext& ctx, std::int32_t node,
   state_.set(node, value, ctx.round());
   ctx.note_commit(value);
   ctx.broadcast(make_committed(ctx.self(), value));
+  // handle_heard drops every HEARD from now on; COMMITTEDs still carry the
+  // relay duty.
+  if (!track_after_commit_) ctx.ignore(MessageClasses::heard_from(0));
 }
 
 void BvTwoHopPool::determine(NodeContext& ctx, std::int32_t node, Coord origin,

@@ -17,6 +17,7 @@ class SourceBehavior final : public NodeBehavior {
   void on_start(NodeContext& ctx) override {
     ctx.note_commit(value_);  // the source is committed from round 0
     ctx.broadcast(make_committed(ctx.self(), value_));
+    ctx.ignore(MessageClasses::all());  // and never listens
   }
 
   void on_receive(NodeContext&, const Envelope&) override {}

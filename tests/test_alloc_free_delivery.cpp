@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "radiobcast/core/experiment.h"
+#include "radiobcast/core/simulation.h"
 #include "radiobcast/net/network.h"
 #include "radiobcast/protocols/byzantine.h"
 #include "radiobcast/protocols/pool.h"
@@ -22,16 +23,27 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+// Allocations of at least kLargeAllocation bytes: the buffers that fault in
+// fresh pages on every trial when they are not reused.
+constexpr std::size_t kLargeAllocation = 64 * 1024;
+std::atomic<std::uint64_t> g_large_allocations{0};
+
+void count_allocation(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (size >= kLargeAllocation) {
+    g_large_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
 }
+}  // namespace
 
 void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count_allocation(size);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
 void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count_allocation(size);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
@@ -118,6 +130,25 @@ TEST(AllocFreeDelivery, LyingTrialAllocatesFarLessThanItQueuesHeards) {
   EXPECT_TRUE(net.quiescent());
   EXPECT_GT(net.counters().heard_queued, 0u);
   EXPECT_LT(allocations, net.counters().heard_queued / 16);
+}
+
+TEST(AllocFreeDelivery, SecondTrialReusesMessageBuffers) {
+  // The benchmark's smoke HEARD flood (bv-4hop-flood, 8x8, r = 1, t = 1,
+  // fault-free) twice on one thread: the first trial grows the message
+  // buffers, and a destroyed network leaves them to the thread, so the
+  // second trial makes no large allocation at all.
+  SimConfig cfg;
+  cfg.width = cfg.height = 8;
+  cfg.r = 1;
+  cfg.t = 1;
+  cfg.protocol = ProtocolKind::kBvIndirectFlood;
+  const FaultSet none;
+  const SimResult first = run_simulation(cfg, none);
+  const std::uint64_t before = g_large_allocations.load();
+  const SimResult second = run_simulation(cfg, none);
+  EXPECT_EQ(g_large_allocations.load() - before, 0u);
+  EXPECT_EQ(second.counters, first.counters);
+  EXPECT_EQ(second.correct_commits, second.honest_nodes);
 }
 
 TEST(AllocFreeDelivery, HeardRetransmissionSteadyStateIsAllocationFree) {

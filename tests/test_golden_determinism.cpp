@@ -2,7 +2,8 @@
 // of docs/PERF.md): a fixed-seed mini-campaign per protocol, run with
 // counters and a per-trial trace sink, must serialize to byte-identical
 // JSON / CSV / trace files forever — across refactors, optimization PRs, and
-// worker counts. The SHA-256 digests below were recorded from the
+// worker counts. The same campaign without a trace sink must give the same
+// JSON / CSV bytes. The SHA-256 digests below were recorded from the
 // pre-optimization round engine (the PR 5 seed state); any hot-path change
 // that alters a single byte of any export fails here.
 //
@@ -56,10 +57,13 @@ struct CampaignHashes {
 
 /// One deterministic mini-campaign for `protocol`: silent + lying (+spoofing
 /// for bv-2hop) adversaries, a perfect and a lossy channel cell each, with
-/// retransmissions so the repeat-delivery path is pinned too.
+/// retransmissions so the repeat-delivery path is pinned too. Without a
+/// trace sink (`traced` false) the perfect-channel cells take the engine's
+/// fast delivery path, and `traces` stays empty.
 CampaignHashes run_golden_campaign(ProtocolKind protocol, std::int32_t r,
                                    std::int64_t t, std::int64_t reps,
-                                   int workers, const std::string& tag) {
+                                   int workers, const std::string& tag,
+                                   bool traced = true) {
   CampaignSpec spec;
   // 12 for every r <= 2 (the historical golden geometry); the r = 3 row
   // needs the 4r+2 floor run_simulation enforces.
@@ -85,13 +89,13 @@ CampaignHashes run_golden_campaign(ProtocolKind protocol, std::int32_t r,
 
   CampaignOptions options;
   options.workers = workers;
-  options.trace_dir = trace_dir.string();
+  if (traced) options.trace_dir = trace_dir.string();
   const CampaignResult result = run_campaign(spec, options);
 
   CampaignHashes hashes;
   hashes.json = sha256_hex(to_json(result));
   hashes.csv = sha256_hex(to_csv(result));
-  hashes.traces = hash_trace_dir(trace_dir);
+  if (traced) hashes.traces = hash_trace_dir(trace_dir);
   std::filesystem::remove_all(trace_dir);
   return hashes;
 }
@@ -182,6 +186,16 @@ TEST_P(GoldenDeterminism, CampaignBytesMatchRecordedDigests) {
   EXPECT_EQ(w1.json, row.json_sha) << tag << ": JSON golden mismatch";
   EXPECT_EQ(w1.csv, row.csv_sha) << tag << ": CSV golden mismatch";
   EXPECT_EQ(w1.traces, row.trace_sha) << tag << ": trace golden mismatch";
+
+  // A trace sink forces the per-receiver delivery loop, so the runs above
+  // never reach the fast path; the untraced campaign must serialize to the
+  // same JSON/CSV bytes.
+  const CampaignHashes untraced = run_golden_campaign(
+      row.protocol, row.r, row.t, row.reps, 8, tag, /*traced=*/false);
+  EXPECT_EQ(untraced.json, row.json_sha)
+      << tag << ": untraced JSON golden mismatch";
+  EXPECT_EQ(untraced.csv, row.csv_sha)
+      << tag << ": untraced CSV golden mismatch";
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -3,20 +3,23 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <vector>
 
 namespace rbcast {
 namespace {
 
-/// Records everything it hears; optionally broadcasts scripted messages at
-/// start.
+/// Records everything it hears; optionally broadcasts scripted messages and
+/// declares ignored message classes at start.
 class Recorder : public NodeBehavior {
  public:
-  explicit Recorder(std::vector<Message> at_start = {})
-      : at_start_(std::move(at_start)) {}
+  explicit Recorder(std::vector<Message> at_start = {},
+                    MessageClasses ignored = {})
+      : at_start_(std::move(at_start)), ignored_(ignored) {}
 
   void on_start(NodeContext& ctx) override {
     for (const Message& m : at_start_) ctx.broadcast(m);
+    ctx.ignore(ignored_);
   }
 
   void on_receive(NodeContext&, const Envelope& env) override {
@@ -30,6 +33,7 @@ class Recorder : public NodeBehavior {
 
  private:
   std::vector<Message> at_start_;
+  MessageClasses ignored_;
 };
 
 /// Re-broadcasts the first received message once (to test multi-round flow).
@@ -231,6 +235,71 @@ TEST(Network, StatsCountTransmissionsAndDeliveries) {
   EXPECT_EQ(net.stats().deliveries, 8u);
   EXPECT_EQ(net.transmissions_of(origin), 1u);
   EXPECT_EQ(net.transmissions_of({0, 0}), 0u);
+}
+
+TEST(Network, IgnoredClassesAreCountedButNotDispatched) {
+  // Every node declares three-relayer HEARDs ignored: none is dispatched,
+  // yet deliveries, counters and trace events are exactly those of the same
+  // run without the declaration — untraced (the fast path), traced, and
+  // traced over a lossy channel, whose draws must not shift either.
+  const Coord sender{4, 4};
+  const std::vector<Message> sent = {
+      make_committed(sender, 1),
+      make_heard({sender}, {3, 3}, 1),
+      make_heard({{2, 2}, {3, 3}, sender}, {1, 1}, 1),
+      make_heard({{3, 4}, sender}, {2, 4}, 0),
+  };
+  struct Run {
+    std::vector<Message> heard;  // by the listener
+    TrafficStats stats;
+    Counters counters;
+    std::vector<TraceEvent> events;
+  };
+  enum class Path { kFast, kTraced, kLossyTraced };
+  for (const Path path : {Path::kFast, Path::kTraced, Path::kLossyTraced}) {
+    const auto run = [&](MessageClasses ignored) {
+      auto net = make_net(8, 1);
+      RoundTrace trace;
+      trace.set_enabled(true);
+      if (path != Path::kFast) net.set_trace(&trace);
+      if (path == Path::kLossyTraced) {
+        net.set_channel(std::make_unique<IidLossChannel>(0.3));
+      }
+      for (const Coord c : net.torus().all_coords()) {
+        net.set_behavior(
+            c, std::make_unique<Recorder>(
+                   c == sender ? sent : std::vector<Message>{}, ignored));
+      }
+      net.start();
+      net.run_round();
+      Run out;
+      for (const Coord c : net.torus().all_coords()) {
+        const auto* rec = dynamic_cast<const Recorder*>(net.behavior(c));
+        for (const Envelope& env : rec->received) out.heard.push_back(env.msg);
+      }
+      out.stats = net.stats();
+      out.counters = net.counters();
+      out.events = trace.events();
+      return out;
+    };
+    const Run all = run(MessageClasses{});
+    const Run masked = run(MessageClasses::heard_from(3));
+    std::vector<Message> expected;
+    for (const Message& m : all.heard) {
+      if (m.relayers.size() != 3) expected.push_back(m);
+    }
+    ASSERT_LT(expected.size(), all.heard.size());
+    EXPECT_EQ(masked.heard, expected);
+    EXPECT_EQ(masked.stats.transmissions, all.stats.transmissions);
+    EXPECT_EQ(masked.stats.deliveries, all.stats.deliveries);
+    EXPECT_EQ(masked.stats.drops, all.stats.drops);
+    EXPECT_EQ(masked.stats.payload_units, all.stats.payload_units);
+    EXPECT_EQ(masked.counters.envelopes_delivered,
+              all.counters.envelopes_delivered);
+    EXPECT_EQ(masked.counters, all.counters);
+    EXPECT_EQ(masked.events, all.events);
+    EXPECT_EQ(all.events.empty(), path == Path::kFast);
+  }
 }
 
 TEST(Network, RoundCounterAdvances) {
