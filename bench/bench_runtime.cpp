@@ -114,17 +114,13 @@ void BM_RuntimeScenario(benchmark::State& state) {
 // the timing thread, and rounds/s is a wall-clock claim.
 BENCHMARK(BM_RuntimeScenario)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// Backend round-rate comparison: the same 3x3 deployment as
-// BM_RuntimeScenario, parametrized over the event backend, run long enough
+// Transport round-rate comparison: the same 3x3 deployment as
+// BM_RuntimeScenario, parametrized over the transport, run long enough
 // (128 rounds) that steady-state round rate dominates thread/socket setup.
-// The poll row is bound by the 50us sleep cadence of the barrier chain and
-// by per-datagram loopback syscalls; the plain epoll row trades naps for
-// readiness wakeups but still pays the kernel for every datagram; the
-// epoll_swarm row moves member traffic onto SwarmHub condvar mailboxes and
-// is the headline: user-CPU bound, no kernel on the datagram path, >= 5x the
-// poll row's rounds/s on the same machine (BENCH_pr9.json pins the ratio).
-void BM_RuntimeRoundRate(benchmark::State& state, RuntimeBackend backend,
-                         bool shared_socket) {
+// The epoll row wakes on socket readiness but pays the kernel for every
+// datagram; the epoll_swarm row moves member traffic onto SwarmHub condvar
+// mailboxes: user-CPU bound, no kernel on the datagram path.
+void BM_RuntimeRoundRate(benchmark::State& state, bool shared_socket) {
   Scenario scenario;
   scenario.sim.width = 3;
   scenario.sim.height = 3;
@@ -132,7 +128,6 @@ void BM_RuntimeRoundRate(benchmark::State& state, RuntimeBackend backend,
   scenario.sim.t = 0;
   scenario.sim.protocol = ProtocolKind::kCrashFlood;
   scenario.sim.max_rounds = 128;
-  scenario.backend = backend;
   scenario.shared_socket = shared_socket;
   scenario.round_timeout_ms = 0;
   scenario.linger_timeout_ms = 2000;
@@ -144,20 +139,16 @@ void BM_RuntimeRoundRate(benchmark::State& state, RuntimeBackend backend,
   }
   state.SetItemsProcessed(rounds);
 }
-BENCHMARK_CAPTURE(BM_RuntimeRoundRate, poll, RuntimeBackend::kPoll, false)
+BENCHMARK_CAPTURE(BM_RuntimeRoundRate, epoll, false)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
-BENCHMARK_CAPTURE(BM_RuntimeRoundRate, epoll, RuntimeBackend::kEpoll, false)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-BENCHMARK_CAPTURE(BM_RuntimeRoundRate, epoll_swarm, RuntimeBackend::kEpoll,
-                  true)
+BENCHMARK_CAPTURE(BM_RuntimeRoundRate, epoll_swarm, true)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
 // Swarm scale: a 256-node (16x16) crash-flood deployment as in-process
-// threads sharing ONE UDP socket (SwarmHub) under the epoll backend —
-// member traffic moves through condvar mailboxes, never the kernel. items/s
+// threads sharing ONE UDP socket (SwarmHub) — member traffic moves through
+// condvar mailboxes, never the kernel. items/s
 // is runtime rounds per second across the whole swarm. One iteration is a
 // whole deployment (~thousands of node-rounds), so a single iteration per
 // measurement keeps the bench under control on shared runners.
@@ -170,7 +161,6 @@ void BM_RuntimeSwarm(benchmark::State& state) {
   scenario.sim.protocol = ProtocolKind::kCrashFlood;
   scenario.sim.max_rounds = 12;
   scenario.faults = {{4, 4}, {11, 3}, {7, 12}};
-  scenario.backend = RuntimeBackend::kEpoll;
   scenario.shared_socket = true;
   scenario.round_timeout_ms = 0;
   scenario.linger_timeout_ms = 5000;
@@ -187,12 +177,12 @@ BENCHMARK(BM_RuntimeSwarm)
     ->UseRealTime()
     ->Iterations(1);
 
-// Lossy-channel deployment cost: loss_p > 0 switches every node from the
-// shared-broadcast fast path to the per-receiver fan-out (one pairwise loss
-// draw and an individual link send per (message, receiver), plus a
-// per-receiver ROUND_DONE marker). This is the runtime analogue of the
-// simulator's lossy ablations; the interesting number is the overhead
-// relative to BM_RuntimeScenario, not the absolute rounds/s.
+// Lossy-channel deployment cost: every node already fans out per receiver
+// (an individual link send per (message, receiver) plus a per-receiver
+// ROUND_DONE marker); loss_p > 0 adds one pairwise loss draw per
+// (message, receiver) and withholds the lost copies. This is the runtime
+// analogue of the simulator's lossy ablations; the interesting number is the
+// overhead relative to BM_RuntimeScenario, not the absolute rounds/s.
 void BM_RuntimeLossy(benchmark::State& state) {
   Scenario scenario;
   scenario.sim.width = 3;

@@ -10,20 +10,6 @@
 
 namespace rbcast {
 
-const char* to_string(RuntimeBackend backend) {
-  switch (backend) {
-    case RuntimeBackend::kPoll: return "poll";
-    case RuntimeBackend::kEpoll: return "epoll";
-  }
-  return "?";
-}
-
-std::optional<RuntimeBackend> backend_from_string(const std::string& name) {
-  if (name == "poll") return RuntimeBackend::kPoll;
-  if (name == "epoll") return RuntimeBackend::kEpoll;
-  return std::nullopt;
-}
-
 TimerWheel::TimerWheel(std::chrono::microseconds tick, std::size_t slots)
     : tick_(tick.count() > 0 ? tick : std::chrono::microseconds(1)),
       slots_(slots > 0 ? slots : 1) {}

@@ -1,12 +1,9 @@
 #pragma once
 // Edge-triggered epoll event loop and hashed timer wheel.
 //
-// The original runtime paced every node with a fixed 50 us sleep: cheap to
-// reason about, but it caps the whole-deployment round rate (BENCH_pr6) and
-// burns a core per idle node. The epoll backend replaces the cadence with
-// readiness: a node sleeps in epoll_wait until a datagram arrives or its
-// earliest timer (link retransmission, barrier timeout, linger deadline)
-// is due.
+// The runtime paces every node by readiness: a node sleeps in epoll_wait
+// until a datagram arrives or its earliest timer (link retransmission,
+// barrier timeout, linger deadline) is due, so idle nodes burn no CPU.
 //
 // Edge-triggered contract: the kernel reports an fd once per readability
 // *edge*, so the caller must drain the socket to EWOULDBLOCK before the next
@@ -24,19 +21,16 @@
 #include <chrono>
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 namespace rbcast {
 
-/// Which runtime pacing strategy a node uses. kPoll is the 50 us sleep loop,
-/// retained as the reference implementation; kEpoll is readiness-driven.
-enum class RuntimeBackend { kPoll, kEpoll };
-
-const char* to_string(RuntimeBackend backend);
-std::optional<RuntimeBackend> backend_from_string(const std::string& name);
+/// The runtime's one pacing loop. Nothing in the library reads this: it
+/// stays only because the repo benchmark (bench/ledger/workloads.cpp), which
+/// is frozen with its baselines, still assigns Scenario::backend.
+enum class RuntimeBackend { kEpoll };
 
 /// Hashed timer wheel keyed by caller-chosen 64-bit ids. schedule() upserts
 /// (rescheduling an armed id moves its deadline), cancel() disarms, and
@@ -61,7 +55,7 @@ class TimerWheel {
   void advance(TimePoint now, std::vector<std::uint64_t>& fired);
 
   /// Earliest armed deadline, or nullopt when nothing is armed. This is what
-  /// bounds the epoll backend's sleep.
+  /// bounds a node's epoll sleep.
   std::optional<TimePoint> next_deadline() const;
 
   std::size_t armed() const { return armed_.size(); }

@@ -26,7 +26,6 @@ RuntimeNode::Options node_options(const Scenario& scenario,
               : faults.contains(self) ? NodeRole::kFaulty
                                       : NodeRole::kHonest;
   opts.max_rounds = scenario.sim.max_rounds;
-  opts.backend = scenario.backend;
   opts.round_timeout = std::chrono::milliseconds(scenario.round_timeout_ms);
   opts.linger_timeout = std::chrono::milliseconds(scenario.linger_timeout_ms);
   opts.suspect_after = static_cast<int>(scenario.suspect_after);

@@ -88,9 +88,10 @@ void write_verdict(std::ostream& out, const RuntimeVerdict& verdict);
 /// Serializes only the deterministic subset of a verdict: the fields that are
 /// a pure function of the scenario (protocol outcome and message-count
 /// counters), excluding everything timing-dependent (link traffic, barrier
-/// waits, chaos stats, latency histograms). Two runs of one scenario on
-/// different backends must produce byte-identical cores — the cross-backend
-/// equivalence bar (tests/test_runtime_equivalence.cpp).
+/// waits, chaos stats, latency histograms). Two runs of one scenario over
+/// different transports (per-node UDP sockets or one SwarmHub socket) must
+/// produce byte-identical cores — the cross-transport equivalence bar
+/// (tests/test_runtime_equivalence.cpp).
 void write_verdict_core(std::ostream& out, const RuntimeVerdict& verdict);
 
 /// Inverse of write_verdict. Throws std::invalid_argument on malformed input.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "radiobcast/net/channel.h"
@@ -76,7 +75,6 @@ RuntimeNode::RuntimeNode(Options opts, Transport& transport)
                       static_cast<std::uint64_t>(self_index_))),
       transport_(&transport),
       link_(static_cast<std::uint32_t>(self_index_), transport, opts_.link),
-      broadcast_(link_, adjacency_for(torus_, opts_.sim), self_index_),
       sync_(neighbor_indices(adjacency_for(torus_, opts_.sim), self_index_),
             RoundSynchronizer::Options{opts_.round_timeout,
                                        opts_.suspect_after}),
@@ -168,16 +166,9 @@ void RuntimeNode::pump() {
 
 void RuntimeNode::wait_for_traffic(
     std::chrono::steady_clock::time_point cap) {
-  if (opts_.backend == RuntimeBackend::kPoll) {
-    // The poll cadence bounds added latency per round; 50us keeps a loopback
-    // torus running thousands of rounds per second while staying polite to
-    // the scheduler.
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-    return;
-  }
-  // Epoll backend: sleep until the socket has a readability edge or the
-  // earliest deadline that demands action — a pending retransmission, or the
-  // caller's cap (barrier timeout / stop probe / linger deadline).
+  // Sleep until the transport has traffic or the earliest deadline that
+  // demands action — a pending retransmission, or the caller's cap (barrier
+  // timeout / stop probe / linger deadline).
   if (const auto d = link_.next_deadline(); d.has_value() && *d < cap) {
     cap = *d;
   }
@@ -204,58 +195,36 @@ void RuntimeNode::finish_round(std::int64_t k, std::int64_t bound) {
   // drop counters and the snapshot's loss-stream positions must keep
   // matching the simulator schedule draw-for-draw.
   const bool transmit = k < bound;
-  if (!loss_active_ && !jam_active_) {
-    if (!transmit) {
-      outbox_.clear();
-      if (!opts_.snapshot_path.empty()) write_state(k);
-      return;
-    }
-    // Perfect channel: identical traffic to every receiver, one shared
-    // marker count.
+  // Each receiver gets its unsuppressed messages, then its own marker
+  // counting exactly the messages it was sent — FIFO then guarantees
+  // marker ⇒ all counted messages in. On a perfect channel every receiver
+  // gets the whole outbox. Suppression happens *above* the link (the link
+  // would mask socket-level drops by retransmitting), which is what makes
+  // the schedule match the simulator's channel semantics message-for-message.
+  // Markers themselves are never suppressed: they are barrier scaffolding
+  // with no simulator analogue.
+  for (const std::int32_t r : adjacency_->receivers(self_index_)) {
+    const std::uint32_t receiver = static_cast<std::uint32_t>(r);
+    std::uint32_t sent = 0;
     for (const Message& msg : outbox_) {
+      if (suppressed(receiver)) {
+        ++counters_.envelopes_dropped;
+        continue;
+      }
+      if (!transmit) continue;  // final round: draw, count, never send
       WireMessage wm;
       wm.kind = WireKind::kProtocol;
       wm.round = k;
       wm.msg = msg;
-      broadcast_.broadcast(wm);
+      link_.send(receiver, wm);
+      ++sent;
     }
+    if (!transmit) continue;
     WireMessage marker;
     marker.kind = WireKind::kRoundDone;
     marker.round = k;
-    marker.done_count = static_cast<std::uint32_t>(outbox_.size());
-    broadcast_.broadcast(marker);
-  } else {
-    // Lossy/jammed channel: different receivers hear different subsets, so
-    // each receiver gets its own marker counting exactly the messages it was
-    // sent — FIFO then still guarantees marker ⇒ all counted messages in.
-    // Suppression happens *above* the link (the link would mask socket-level
-    // drops by retransmitting), which is what makes the schedule match the
-    // simulator's channel semantics message-for-message. Markers themselves
-    // are never suppressed: they are barrier scaffolding with no simulator
-    // analogue.
-    for (const std::int32_t r : adjacency_->receivers(self_index_)) {
-      const std::uint32_t receiver = static_cast<std::uint32_t>(r);
-      std::uint32_t sent = 0;
-      for (const Message& msg : outbox_) {
-        if (suppressed(receiver)) {
-          ++counters_.envelopes_dropped;
-          continue;
-        }
-        if (!transmit) continue;  // final round: draw, count, never send
-        WireMessage wm;
-        wm.kind = WireKind::kProtocol;
-        wm.round = k;
-        wm.msg = msg;
-        link_.send(receiver, wm);
-        ++sent;
-      }
-      if (!transmit) continue;
-      WireMessage marker;
-      marker.kind = WireKind::kRoundDone;
-      marker.round = k;
-      marker.done_count = sent;
-      link_.send(receiver, marker);
-    }
+    marker.done_count = sent;
+    link_.send(receiver, marker);
   }
   outbox_.clear();
   link_.flush();
@@ -307,8 +276,8 @@ std::int64_t RuntimeNode::restore_state() {
 
 RuntimeVerdict RuntimeNode::run() {
   using clock = std::chrono::steady_clock;
-  // Stop-probe cadence for the epoll backend: the longest a blocked node
-  // goes without re-checking stop_requested() when nothing else wakes it.
+  // Stop-probe cadence: the longest a blocked node goes without re-checking
+  // stop_requested() when nothing else wakes it.
   constexpr std::chrono::milliseconds kStopProbe(10);
   run_start_ = clock::now();
   RuntimeVerdict verdict;

@@ -8,11 +8,12 @@
 // (protocols/pool.h). The stack underneath is
 //
 //   NodeBehavior (protocols/*)      — the simulator's protocol logic
-//   RuntimeNode                      — event loop, round mapping, verdicts
+//   RuntimeNode                      — event loop, round mapping, verdicts,
+//                                      per-receiver fan-out over CSR neighbors
 //   RoundSynchronizer                — TDMA rounds on real time
-//   LocalBroadcast                   — CSR-neighbor fan-out
 //   PerfectLink                      — ack/retransmit, dedup, FIFO
-//   Transport (UDP or fault shim)    — unreliable datagrams
+//   Transport (UDP or SwarmHub,      — unreliable datagrams
+//     optionally under ChaosTransport)
 //
 // Round mapping mirrors the simulator exactly: everything a behavior
 // broadcasts while round() == k is tagged round k and delivered to every
@@ -36,8 +37,7 @@
 #include "radiobcast/obs/counters.h"
 #include "radiobcast/obs/latency.h"
 #include "radiobcast/obs/trace.h"
-#include "radiobcast/runtime/event_loop.h"
-#include "radiobcast/runtime/local_broadcast.h"
+#include "radiobcast/grid/adjacency.h"
 #include "radiobcast/runtime/perfect_link.h"
 #include "radiobcast/runtime/round_sync.h"
 #include "radiobcast/runtime/snapshot.h"
@@ -88,11 +88,6 @@ class RuntimeNode final : public BroadcastBackend {
     NodeRole role = NodeRole::kHonest;
     /// Rounds to run; 0 = default_round_bound(sim), the simulator's horizon.
     std::int64_t max_rounds = 0;
-    /// How the node idles between barrier checks: kPoll naps a fixed 50 us
-    /// cadence (the reference backend); kEpoll blocks on Transport::wait
-    /// until socket readiness or the earliest of the retransmission /
-    /// barrier-timeout deadlines (runtime/event_loop.h).
-    RuntimeBackend backend = RuntimeBackend::kPoll;
     PerfectLink::Options link{};
     /// Barrier timeout per round (0 = wait forever). Equivalence runs use 0;
     /// deployments set a generous bound so one dead process cannot wedge the
@@ -153,14 +148,15 @@ class RuntimeNode final : public BroadcastBackend {
 
   /// Drains the link (feeding the synchronizer) and runs retransmissions.
   void pump();
-  /// Idles until new traffic is plausible or `cap` passes. Poll backend: a
-  /// fixed 50 us nap. Epoll backend: blocks on the transport's readiness
-  /// mechanism, bounded by the link's next retransmission deadline.
+  /// Idles until new traffic is plausible or `cap` passes: blocks on the
+  /// transport's readiness mechanism (Transport::wait), bounded by the
+  /// link's next retransmission deadline.
   void wait_for_traffic(std::chrono::steady_clock::time_point cap);
-  /// Sends round k's queued broadcasts plus the ROUND_DONE(k) marker — with
-  /// the channel policy (loss / jamming) applied per receiver, so each
-  /// marker's done_count is the number of messages that receiver was
-  /// actually sent. Writes the state snapshot afterwards when configured.
+  /// Sends round k's queued broadcasts plus the ROUND_DONE(k) marker to each
+  /// neighbor in turn — with the channel policy (loss / jamming) applied per
+  /// receiver, so each marker's done_count is the number of messages that
+  /// receiver was actually sent. Writes the state snapshot afterwards when
+  /// configured.
   void finish_round(std::int64_t k, std::int64_t bound);
   /// True iff the channel policy suppresses this transmission to `receiver`
   /// (consumes one loss draw when the loss schedule is active).
@@ -179,7 +175,6 @@ class RuntimeNode final : public BroadcastBackend {
   Rng rng_;
   Transport* transport_;
   PerfectLink link_;
-  LocalBroadcast broadcast_;
   RoundSynchronizer sync_;
   const Adjacency* adjacency_;
   std::unique_ptr<NodeBehavior> behavior_;

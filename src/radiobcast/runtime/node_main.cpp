@@ -39,7 +39,7 @@ int run(int argc, char** argv) {
   const CliArgs args(argc, argv,
                      {"scenario", "index", "out", "trace", "quiet", "help",
                       "state-dir", "crash-at-round", "restart-after-ms",
-                      "resume", "backend"});
+                      "resume"});
   if (!args.ok()) {
     std::cerr << "radiobcast-node: " << args.error() << "\n";
     return 2;
@@ -50,7 +50,6 @@ int run(int argc, char** argv) {
            "[--out <dir>] [--trace <file.jsonl>] [--quiet]\n"
            "       [--state-dir <dir>] [--crash-at-round <k>] "
            "[--restart-after-ms <m>] [--resume]\n"
-           "       [--backend poll|epoll]\n"
            "Runs node <i> of the scenario over UDP loopback (port "
            "base_port+i)\nand prints its verdict.\n";
     return 0;
@@ -95,16 +94,6 @@ int run(int argc, char** argv) {
   }
   const std::int64_t crash_at = args.get_int("crash-at-round", -1);
   if (crash_at >= 0) opts.crash_at_round = crash_at;
-  // --backend beats the scenario's backend key (deploy-time override).
-  if (args.has("backend")) {
-    const std::string name = args.get("backend", "");
-    const auto b = backend_from_string(name);
-    if (!b) {
-      std::cerr << "radiobcast-node: unknown backend '" << name << "'\n";
-      return 2;
-    }
-    opts.backend = *b;
-  }
   const std::int64_t restart_after_ms =
       args.get_int("restart-after-ms", scenario.restart_after_ms);
   opts.resume = args.get_bool("resume", false);

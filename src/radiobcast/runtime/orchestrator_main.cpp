@@ -56,8 +56,7 @@ struct ChildState {
 };
 
 pid_t spawn_node(const std::string& node_bin, const std::string& scenario_path,
-                 const std::string& out_dir, std::int64_t index, bool resume,
-                 const std::string& backend) {
+                 const std::string& out_dir, std::int64_t index, bool resume) {
   const pid_t pid = ::fork();
   if (pid != 0) return pid;
   const std::string idx = std::to_string(index);
@@ -65,10 +64,6 @@ pid_t spawn_node(const std::string& node_bin, const std::string& scenario_path,
                                      "--index", idx,          "--out",
                                      out_dir,   "--quiet"};
   if (resume) argv_s.push_back("--resume");
-  if (!backend.empty()) {
-    argv_s.push_back("--backend");
-    argv_s.push_back(backend);
-  }
   std::vector<char*> argv_c;
   argv_c.reserve(argv_s.size() + 1);
   for (std::string& a : argv_s) argv_c.push_back(a.data());
@@ -153,15 +148,13 @@ void print_summary(std::ostream& os, const Scenario& scenario,
 
 int run_processes(const Scenario& scenario, const std::string& scenario_path,
                   const std::string& node_bin, const std::string& out_dir,
-                  bool respawn, const std::string& backend,
-                  ShutdownGuard& shutdown, RuntimeResult& result,
+                  bool respawn, ShutdownGuard& shutdown, RuntimeResult& result,
                   std::vector<ChildState>& ledger) {
   const Torus torus(scenario.sim.width, scenario.sim.height);
   const std::int64_t n = torus.node_count();
   ledger.assign(static_cast<std::size_t>(n), ChildState{});
   for (std::int64_t i = 0; i < n; ++i) {
-    const pid_t pid =
-        spawn_node(node_bin, scenario_path, out_dir, i, false, backend);
+    const pid_t pid = spawn_node(node_bin, scenario_path, out_dir, i, false);
     if (pid < 0) {
       std::cerr << "radiobcast-runtime: fork: " << std::strerror(errno)
                 << "\n";
@@ -215,9 +208,8 @@ int run_processes(const Scenario& scenario, const std::string& scenario_path,
           std::this_thread::sleep_for(
               std::chrono::milliseconds(scenario.restart_after_ms));
         }
-        const pid_t np =
-            spawn_node(node_bin, scenario_path, out_dir,
-                       static_cast<std::int64_t>(i), true, backend);
+        const pid_t np = spawn_node(node_bin, scenario_path, out_dir,
+                                    static_cast<std::int64_t>(i), true);
         if (np > 0) {
           c.pid = np;
           c.running = true;
@@ -280,7 +272,7 @@ int run(int argc, char** argv) {
   const CliArgs args(argc, argv,
                      {"scenario", "node-bin", "out", "in-process",
                       "expect-all-commit", "expect-degraded-correct",
-                      "respawn", "quiet", "help", "backend"});
+                      "respawn", "quiet", "help"});
   if (!args.ok()) {
     std::cerr << "radiobcast-runtime: " << args.error() << "\n";
     return 2;
@@ -296,8 +288,6 @@ int run(int argc, char** argv) {
            "processes\n"
            "  --respawn            relaunch a crashed/killed node from its "
            "snapshot (once)\n"
-           "  --backend poll|epoll override the scenario's node idle "
-           "strategy\n"
            "  --expect-all-commit  exit 3 unless every honest node committed "
            "the source value\n"
            "  --expect-degraded-correct\n"
@@ -313,17 +303,7 @@ int run(int argc, char** argv) {
         << "radiobcast-runtime: --scenario is required (--help for usage)\n";
     return 2;
   }
-  Scenario scenario = load_scenario(scenario_path);
-  const std::string backend_override = args.get("backend", "");
-  if (!backend_override.empty()) {
-    const auto b = backend_from_string(backend_override);
-    if (!b) {
-      std::cerr << "radiobcast-runtime: unknown backend '" << backend_override
-                << "'\n";
-      return 2;
-    }
-    scenario.backend = *b;  // in-process path; children get --backend instead
-  }
+  const Scenario scenario = load_scenario(scenario_path);
 
   ShutdownGuard shutdown;
   RuntimeResult result;
@@ -346,8 +326,8 @@ int run(int argc, char** argv) {
         args.get("node-bin", sibling_binary(argv[0], "radiobcast-node"));
     const int rc =
         run_processes(scenario, scenario_path, node_bin, out_dir,
-                      args.get_bool("respawn", false), backend_override,
-                      shutdown, result, ledger);
+                      args.get_bool("respawn", false), shutdown, result,
+                      ledger);
     if (rc != 0) return rc;
     deployment_path = out_dir + "/deployment.txt";
   }

@@ -92,8 +92,8 @@ class PerfectLink {
   void tick(std::chrono::steady_clock::time_point now);
 
   /// Earliest retransmission deadline across unacked batches, or nullopt
-  /// when everything is acked — the link's contribution to the epoll
-  /// backend's wait bound.
+  /// when everything is acked — the link's contribution to the node's
+  /// wait bound.
   std::optional<std::chrono::steady_clock::time_point> next_deadline() const {
     return wheel_.next_deadline();
   }

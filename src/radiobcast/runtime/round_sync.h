@@ -73,7 +73,7 @@ class RoundSynchronizer {
 
   /// The instant timed_out(round) will flip true, or nullopt when the round's
   /// clock is not running or the timeout is zero — the synchronizer's
-  /// contribution to the epoll backend's wait bound.
+  /// contribution to the node's wait bound.
   std::optional<std::chrono::steady_clock::time_point> deadline(
       std::int64_t round) const;
 

@@ -192,12 +192,6 @@ Scenario parse_scenario(std::istream& in) {
       if (!(ls >> s.state_dir)) {
         fail(lineno, "expected a path after 'state_dir'");
       }
-    } else if (key == "backend") {
-      std::string name;
-      ls >> name;
-      const auto b = backend_from_string(name);
-      if (!b) fail(lineno, "unknown backend '" + name + "'");
-      s.backend = *b;
     } else if (key == "shared_socket") {
       std::int64_t v = 0;
       want_i64(v);
@@ -267,7 +261,6 @@ void write_scenario(std::ostream& out, const Scenario& s) {
       << "chaos_seed " << s.chaos.seed << '\n'
       << "crash_at_round " << s.crash_at_round << '\n'
       << "restart_after_ms " << s.restart_after_ms << '\n'
-      << "backend " << to_string(s.backend) << '\n'
       << "shared_socket " << (s.shared_socket ? 1 : 0) << '\n';
   if (s.crash_node) {
     out << "crash_node " << s.crash_node->x << ' ' << s.crash_node->y << '\n';

@@ -33,7 +33,6 @@
 //   crash_at_round 3          # ... round 3, and
 //   restart_after_ms 100      # restarts from its snapshot (-1 = stays dead)
 //   state_dir out             # snapshot directory (process mode default: out)
-//   backend epoll             # node idle strategy: poll (default) or epoll
 //   shared_socket 1           # in-process: one SwarmHub socket for all nodes
 //
 // Every scalar key may appear at most once; `fault` and `partition` repeat.
@@ -96,9 +95,10 @@ struct Scenario {
   /// Where per-node state snapshots live ("" = no snapshots in thread mode;
   /// process mode defaults to the verdict directory).
   std::string state_dir;
-  /// How nodes idle between barrier checks: kPoll (fixed 50 us cadence, the
-  /// reference backend) or kEpoll (readiness-driven, runtime/event_loop.h).
-  RuntimeBackend backend = RuntimeBackend::kPoll;
+  /// Inert: no scenario key sets it and nothing reads it. It stays only
+  /// because the repo benchmark (bench/ledger/workloads.cpp), which is frozen
+  /// with its baselines, still assigns it.
+  RuntimeBackend backend = RuntimeBackend::kEpoll;
   /// In-process deployments only: multiplex every node onto one SwarmHub
   /// socket (runtime/swarm.h) instead of one UDP socket per node, so a
   /// 256-node swarm costs one fd. Ignored in process mode.

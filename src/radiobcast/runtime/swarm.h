@@ -6,8 +6,8 @@
 // handful of flows — at swarm burst rates the buffers overflow and the link
 // layer spends its time retransmitting. SwarmHub collapses the swarm onto
 // one socket: traffic between members is routed in memory through per-node
-// mailboxes (mutex + condvar, so the epoll backend's wait() becomes a
-// condvar wait), and only traffic to nodes *outside* the hub touches the
+// mailboxes (mutex + condvar, so a member's wait() is a condvar wait
+// instead of an epoll_wait), and only traffic to nodes *outside* the hub touches the
 // shared socket, prefixed with an 8-byte (from, to) mux header.
 //
 // Identity: in-memory delivery stamps the sender index directly (same

@@ -11,21 +11,12 @@
 #include <cstring>
 #include <stdexcept>
 #include <system_error>
-#include <thread>
 #include <utility>
 
 #include "radiobcast/runtime/wire.h"
+#include "radiobcast/util/rng.h"
 
 namespace rbcast {
-
-void Transport::wait(std::chrono::steady_clock::time_point deadline) {
-  // The poll backend's cadence: a bounded nap, then the caller re-polls.
-  const auto now = std::chrono::steady_clock::now();
-  if (deadline <= now) return;
-  std::this_thread::sleep_for(
-      std::min<std::chrono::steady_clock::duration>(
-          deadline - now, std::chrono::microseconds(50)));
-}
 
 namespace {
 
@@ -70,6 +61,7 @@ UdpTransport::UdpTransport(std::uint16_t port) {
     throw_errno("getsockname");
   }
   local_port_ = ntohs(bound.sin_port);
+  loop_.add(fd_);
 }
 
 UdpTransport::~UdpTransport() {
@@ -94,77 +86,28 @@ void UdpTransport::send(std::uint32_t to,
 
 bool UdpTransport::try_receive(Datagram& out) {
   std::uint8_t buf[kMaxDatagram];
-  sockaddr_in src{};
-  socklen_t src_len = sizeof(src);
-  const ssize_t n = ::recvfrom(fd_, buf, sizeof(buf), 0,
-                               reinterpret_cast<sockaddr*>(&src), &src_len);
-  if (n < 0) return false;  // EWOULDBLOCK and friends: nothing pending
-  const std::uint16_t src_port = ntohs(src.sin_port);
-  // Resolve the transmitter from the source port. The peer table is the
-  // runtime's identity authority; datagrams from unknown ports are dropped,
-  // which enforces the no-spoofing model at the transport seam.
-  for (std::uint32_t i = 0; i < peer_ports_.size(); ++i) {
-    if (peer_ports_[i] == src_port) {
-      out.from = i;
-      out.bytes.assign(buf, buf + n);
-      return true;
+  for (;;) {
+    sockaddr_in src{};
+    socklen_t src_len = sizeof(src);
+    const ssize_t n = ::recvfrom(fd_, buf, sizeof(buf), 0,
+                                 reinterpret_cast<sockaddr*>(&src), &src_len);
+    if (n < 0) return false;  // EWOULDBLOCK and friends: nothing pending
+    const std::uint16_t src_port = ntohs(src.sin_port);
+    // Resolve the transmitter from the source port. The peer table is the
+    // runtime's identity authority; datagrams from unknown ports are dropped,
+    // which enforces the no-spoofing model at the transport seam.
+    for (std::uint32_t i = 0; i < peer_ports_.size(); ++i) {
+      if (peer_ports_[i] == src_port) {
+        out.from = i;
+        out.bytes.assign(buf, buf + n);
+        return true;
+      }
     }
   }
-  return false;
 }
 
 void UdpTransport::wait(std::chrono::steady_clock::time_point deadline) {
-  if (!loop_) {
-    loop_ = std::make_unique<EventLoop>();
-    loop_->add(fd_);
-  }
-  (void)loop_->wait_until(deadline);
-}
-
-FaultInjectionTransport::FaultInjectionTransport(std::uint32_t self,
-                                                 Options opts)
-    : self_(self), opts_(opts), rng_(hash_seeds(opts.seed, self)) {}
-
-void FaultInjectionTransport::set_peers(
-    std::vector<FaultInjectionTransport*> peers) {
-  peers_ = std::move(peers);
-  held_.clear();
-  held_.resize(peers_.size());
-}
-
-void FaultInjectionTransport::enqueue_at(std::uint32_t to, Datagram d) {
-  peers_.at(to)->inbox_.push_back(std::move(d));
-}
-
-void FaultInjectionTransport::send(std::uint32_t to,
-                                   const std::vector<std::uint8_t>& bytes) {
-  if (rng_.chance(opts_.drop_p)) return;
-  Datagram d{self_, bytes};
-  const bool duplicate = rng_.chance(opts_.duplicate_p);
-  if (rng_.chance(opts_.reorder_p) && held_[to] == nullptr) {
-    // Hold this datagram back; it is released behind the next send to `to`.
-    held_[to] = std::make_unique<Datagram>(std::move(d));
-    return;
-  }
-  enqueue_at(to, d);
-  if (duplicate) enqueue_at(to, std::move(d));
-  if (held_[to] != nullptr) {
-    enqueue_at(to, std::move(*held_[to]));
-    held_[to].reset();
-  }
-}
-
-bool FaultInjectionTransport::try_receive(Datagram& out) {
-  if (inbox_.empty()) return false;
-  out = std::move(inbox_.front());
-  inbox_.pop_front();
-  return true;
-}
-
-void FaultInjectionTransport::wait(
-    std::chrono::steady_clock::time_point deadline) {
-  if (!inbox_.empty()) return;
-  Transport::wait(deadline);
+  (void)loop_.wait_until(deadline);
 }
 
 ChaosTransport::ChaosTransport(std::uint32_t self, Transport& inner,

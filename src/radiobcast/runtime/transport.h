@@ -4,22 +4,20 @@
 // Transport is the narrow seam beneath PerfectLink: an unreliable,
 // unordered, possibly-duplicating datagram service addressed by node index.
 // UdpTransport is the real thing (nonblocking UDP sockets on loopback or any
-// configured peer table); FaultInjectionTransport wraps another transport and
-// deterministically drops / reorders / duplicates datagrams so the
-// perfect-link tests can prove no-loss / no-dup / FIFO under adversarial
-// conditions without flaky timing.
+// configured peer table); SwarmHub (runtime/swarm.h) multiplexes in-process
+// nodes onto one socket; ChaosTransport wraps either and deterministically
+// drops / duplicates / delays datagrams — in deployments, and in the
+// perfect-link tests that prove no-loss / no-dup / FIFO over SwarmHub
+// mailboxes without flaky timing.
 
 #include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "radiobcast/runtime/event_loop.h"
-#include "radiobcast/util/rng.h"
 
 namespace rbcast {
 
@@ -50,11 +48,9 @@ class Transport {
 
   /// Blocks until a datagram is plausibly receivable or `deadline` passes.
   /// May wake spuriously; callers re-check their conditions. The caller must
-  /// have drained try_receive to false first (the epoll implementations are
-  /// edge-triggered). The base implementation sleeps one poll cadence
-  /// (50 us, capped by the deadline) — exactly the poll backend's pacing, so
-  /// transports without a readiness mechanism degrade to polling.
-  virtual void wait(std::chrono::steady_clock::time_point deadline);
+  /// have drained try_receive to false first (UdpTransport's epoll wait is
+  /// edge-triggered).
+  virtual void wait(std::chrono::steady_clock::time_point deadline) = 0;
 };
 
 /// UDP/IPv4 transport. Each node owns one nonblocking socket; peers are
@@ -81,63 +77,20 @@ class UdpTransport final : public Transport {
 
   using Transport::send;
   void send(std::uint32_t to, const std::vector<std::uint8_t>& bytes) override;
+  /// Returns the next datagram from a peer-table port. Datagrams from any
+  /// other port are discarded on the way, so one stray never ends a drain
+  /// with real traffic still queued behind it.
   bool try_receive(Datagram& out) override;
 
   /// Epoll-backed wait: sleeps until the socket has a readability edge or
-  /// the deadline passes. The EventLoop is created lazily on first use, so
-  /// poll-backend deployments never pay the extra epoll fd.
+  /// the deadline passes.
   void wait(std::chrono::steady_clock::time_point deadline) override;
-
-  /// The underlying socket (tests register it with an external EventLoop).
-  int fd() const { return fd_; }
 
  private:
   int fd_ = -1;
   std::uint16_t local_port_ = 0;
   std::vector<std::uint16_t> peer_ports_;
-  std::unique_ptr<EventLoop> loop_;
-};
-
-/// Deterministic failure shim for tests: wraps delivery queues per
-/// destination and applies seeded drop / duplicate / reorder decisions on
-/// send. All traffic stays in-process; `deliver_to` hands a queue's datagrams
-/// to the destination's FaultInjectionTransport, so a test wires N of these
-/// together as a lossy in-memory fabric.
-class FaultInjectionTransport final : public Transport {
- public:
-  struct Options {
-    double drop_p = 0.0;       // per-datagram drop probability
-    double duplicate_p = 0.0;  // per-datagram duplication probability
-    /// With this probability a sent datagram is held back and released after
-    /// the next send to the same destination (pairwise reorder).
-    double reorder_p = 0.0;
-    std::uint64_t seed = 1;
-  };
-
-  explicit FaultInjectionTransport(std::uint32_t self, Options opts);
-
-  /// Connects this transport to its peers; index i must be peer i's shim.
-  /// Peers are not owned and must outlive this object.
-  void set_peers(std::vector<FaultInjectionTransport*> peers);
-
-  using Transport::send;
-  void send(std::uint32_t to, const std::vector<std::uint8_t>& bytes) override;
-  bool try_receive(Datagram& out) override;
-
-  /// Returns immediately when the inbox is non-empty; otherwise the base
-  /// poll-cadence sleep (in-memory fabrics have no readiness mechanism).
-  void wait(std::chrono::steady_clock::time_point deadline) override;
-
- private:
-  void enqueue_at(std::uint32_t to, Datagram d);
-
-  std::uint32_t self_;
-  Options opts_;
-  Rng rng_;
-  std::vector<FaultInjectionTransport*> peers_;
-  std::deque<Datagram> inbox_;
-  /// Held-back datagram per destination awaiting the reorder release.
-  std::vector<std::unique_ptr<Datagram>> held_;
+  EventLoop loop_;
 };
 
 /// Chaos knobs for one node's outgoing traffic (the scenario file's `chaos`
@@ -178,8 +131,9 @@ struct ChaosStats {
   std::uint64_t partition_drops = 0;
 };
 
-/// Seeded fault injection for the *real* transport path: wraps any Transport
-/// (UdpTransport in deployments) and decides each outgoing datagram's fate —
+/// Seeded fault injection, the runtime's one fault shim: wraps any Transport
+/// (UdpTransport or a SwarmHub view in deployments, SwarmHub mailboxes in the
+/// perfect-link tests) and decides each outgoing datagram's fate —
 /// drop, duplicate, delay, or partition suppression — deterministically from
 /// (seed, sender, receiver, per-pair datagram sequence). Two runs of the same
 /// scenario inject the exact same faults, regardless of scheduling; only the

@@ -2,7 +2,7 @@
 // hashed timer wheel under a fake clock, epoll readiness wakeups against
 // real sockets, SwarmHub shared-socket multiplexing (routing, identity,
 // spoof rejection, fd budget), and the perfect-link / barrier properties
-// driven end-to-end through the epoll backend under datagram chaos.
+// driven end-to-end through epoll waits under datagram chaos.
 
 #include "radiobcast/runtime/event_loop.h"
 
@@ -27,17 +27,6 @@ namespace {
 using std::chrono::microseconds;
 using std::chrono::milliseconds;
 using TimePoint = std::chrono::steady_clock::time_point;
-
-// ---------------------------------------------------------------------------
-// Backend name plumbing
-
-TEST(RuntimeBackend, RoundTripsThroughStrings) {
-  EXPECT_EQ(backend_from_string("poll"), RuntimeBackend::kPoll);
-  EXPECT_EQ(backend_from_string("epoll"), RuntimeBackend::kEpoll);
-  EXPECT_FALSE(backend_from_string("kqueue").has_value());
-  EXPECT_STREQ(to_string(RuntimeBackend::kPoll), "poll");
-  EXPECT_STREQ(to_string(RuntimeBackend::kEpoll), "epoll");
-}
 
 // ---------------------------------------------------------------------------
 // TimerWheel under a fake clock (explicit time points, no sleeping)
@@ -273,7 +262,7 @@ TEST(SwarmHub, A256NodeSwarmCostsOneFileDescriptor) {
 }
 
 // ---------------------------------------------------------------------------
-// Perfect-link properties driven through the epoll backend under chaos
+// Perfect-link properties driven through epoll waits under chaos
 
 TEST(EpollLinkProperties, NoLossNoDupFifoUnderHeavyDatagramChaos) {
   constexpr int kMessages = 150;
@@ -361,7 +350,7 @@ TEST(EpollLinkProperties, NoLossNoDupFifoUnderHeavyDatagramChaos) {
 }
 
 // ---------------------------------------------------------------------------
-// Barrier soaks: a full deployment on the epoll backend never wedges
+// Barrier soaks: a full deployment never wedges
 
 TEST(EpollBarrierSoak, DeploymentSurvivesHeavyChaosWithNoTimeout) {
   // round_timeout 0 = wait forever: the only way this test passes is the
@@ -377,7 +366,6 @@ TEST(EpollBarrierSoak, DeploymentSurvivesHeavyChaosWithNoTimeout) {
     value 1
     source 0 0
     seed 7
-    backend epoll
     round_timeout_ms 0
     chaos_drop_p 0.25
     chaos_dup_p 0.25
@@ -409,7 +397,6 @@ TEST(EpollBarrierSoak, PermanentPartitionDegradesButNeverWedges) {
     value 1
     source 0 0
     seed 11
-    backend epoll
     round_timeout_ms 100
     suspect_after 2
     partition 1 0 0 0 0 -1
@@ -425,8 +412,8 @@ TEST(EpollBarrierSoak, PermanentPartitionDegradesButNeverWedges) {
 }
 
 TEST(EpollBarrierSoak, SharedSocketSwarmCompletesUnderChaos) {
-  // The swarm path end-to-end: every node on one SwarmHub socket, epoll
-  // waits on mailbox condvars, chaos on top.
+  // The swarm path end-to-end: every node on one SwarmHub socket, waiting
+  // on its mailbox condvar, chaos on top.
   const Scenario scenario = parse_scenario_string(R"(
     protocol crash-flood
     adversary silent
@@ -438,7 +425,6 @@ TEST(EpollBarrierSoak, SharedSocketSwarmCompletesUnderChaos) {
     value 1
     source 0 0
     seed 13
-    backend epoll
     shared_socket 1
     round_timeout_ms 0
     chaos_drop_p 0.2

@@ -275,9 +275,6 @@ TEST(RoundSynchronizerProgress, CorrectNodesOutrunAWedgedNode) {
   // timeout more than twice each.
   scenario.round_timeout_ms = 100;
   scenario.linger_timeout_ms = 200;
-  // The wait-driven backend is the interesting one here: a wedged peer must
-  // wake its neighbors by deadline, not by a polling sleep.
-  scenario.backend = RuntimeBackend::kEpoll;
 
   const Coord quitter{3, 3};  // max distance from the source, honest
   const RuntimeResult result = run_scenario_threads(

@@ -176,6 +176,7 @@ class RecordingTransport final : public Transport {
     inbox.pop_front();
     return true;
   }
+  void wait(std::chrono::steady_clock::time_point) override {}
 
   std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>> sent;
   std::deque<Datagram> inbox;

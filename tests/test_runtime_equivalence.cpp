@@ -1,21 +1,21 @@
 // Sim/runtime equivalence: the same protocol code, run once under the
-// discrete-event simulator and once as threads over real loopback UDP
-// sockets, must produce identical per-node verdicts — same committed value,
-// same commit round, for every node — and they must do so under BOTH event
-// backends (the 50us poll loop and the epoll readiness loop), which is the
-// test that the event engine only changes when nodes wake, never what they
-// observe.
+// discrete-event simulator and once as a threaded runtime deployment, must
+// produce identical per-node verdicts — same committed value, same commit
+// round, for every node — and they must do so over BOTH transports: per-node
+// UDP sockets waiting in epoll, and one SwarmHub socket whose members wait on
+// mailbox condvars. That is the test that the transport only changes how
+// datagrams move and when nodes wake, never what they observe.
 //
 // Why this holds (docs/RUNTIME.md has the full argument): the runtime tags
 // every broadcast with its TDMA round, the perfect link delivers per-sender
 // FIFO, and the round synchronizer releases each round's traffic in the
 // simulator's delivery order (sender index ascending, per-sender FIFO) only
 // after every neighbor's ROUND_DONE marker confirms the round is complete.
-// Both backends run the same protocol code — for crash-flood, cpa and
-// bv-2hop the runtime's make_node_behavior nodes are one-slot views of the
-// pool the simulator shares across its honest nodes — and the same
+// Simulator and runtime run the same protocol code — for crash-flood, cpa
+// and bv-2hop the runtime's make_node_behavior nodes are one-slot views of
+// the pool the simulator shares across its honest nodes — and the same
 // default_round_bound horizon, so each node observes a byte-identical event
-// sequence on both backends.
+// sequence in every deployment.
 
 #include <gtest/gtest.h>
 
@@ -45,7 +45,18 @@ struct EquivalenceCase {
   std::int64_t jam_budget = 0;
 };
 
-Scenario make_scenario(const EquivalenceCase& param, RuntimeBackend backend) {
+/// How a deployment moves its datagrams, named by how its nodes wait.
+struct Deployment {
+  const char* name;
+  bool shared_socket;
+};
+
+/// Per-node UDP sockets; each node sleeps in epoll_wait on its own socket.
+constexpr Deployment kEpoll{"epoll", false};
+/// One SwarmHub socket; members sleep on their mailbox condvars.
+constexpr Deployment kSwarm{"swarm", true};
+
+Scenario make_scenario(const EquivalenceCase& param, Deployment deployment) {
   Scenario scenario;
   scenario.sim.width = 8;
   scenario.sim.height = 8;
@@ -57,7 +68,7 @@ Scenario make_scenario(const EquivalenceCase& param, RuntimeBackend backend) {
   scenario.sim.value = 1;
   scenario.sim.source = {0, 0};
   scenario.sim.seed = 12345;
-  scenario.sim.max_rounds = 0;  // both backends use default_round_bound
+  scenario.sim.max_rounds = 0;  // default_round_bound, like the simulator
   if (param.loss_p > 0.0) {
     scenario.sim.loss_p = param.loss_p;
     // The per-pair streams are the only loss process a distributed node can
@@ -66,7 +77,7 @@ Scenario make_scenario(const EquivalenceCase& param, RuntimeBackend backend) {
   }
   scenario.sim.jam_budget = param.jam_budget;
   scenario.faults = param.faults;
-  scenario.backend = backend;
+  scenario.shared_socket = deployment.shared_socket;
   // Equivalence runs barrier forever: on loopback with threads all peers are
   // alive, and a timeout would make delivery timing-dependent.
   scenario.round_timeout_ms = 0;
@@ -89,13 +100,13 @@ const std::vector<EquivalenceCase>& all_cases() {
                       AdversaryKind::kLying, 1, std::vector<Coord>{{4, 4}}},
       EquivalenceCase{"bv_4hop_earmarked", ProtocolKind::kBvIndirectEarmarked,
                       AdversaryKind::kSilent, 1, std::vector<Coord>{{4, 4}}},
-      // Crash-at-round exercises mid-run behavior changes on both
-      // backends (the adversary is honest until its crash round).
+      // Crash-at-round exercises mid-run behavior changes (the adversary
+      // is honest until its crash round).
       EquivalenceCase{"crash_flood_crash_at_round", ProtocolKind::kCrashFlood,
                       AdversaryKind::kCrashAtRound, 3,
                       std::vector<Coord>{{3, 3}, {6, 2}}},
       // Lossy channel: the runtime replays the simulator's pairwise drop
-      // schedule message-for-message, on either backend.
+      // schedule message-for-message, over either transport.
       EquivalenceCase{"crash_flood_lossy", ProtocolKind::kCrashFlood,
                       AdversaryKind::kSilent, 3,
                       std::vector<Coord>{{3, 3}, {6, 2}, {1, 6}},
@@ -107,14 +118,14 @@ const std::vector<EquivalenceCase>& all_cases() {
   return cases;
 }
 
-using EquivalenceParam = std::tuple<EquivalenceCase, RuntimeBackend>;
+using EquivalenceParam = std::tuple<EquivalenceCase, Deployment>;
 
 class RuntimeEquivalence : public testing::TestWithParam<EquivalenceParam> {};
 
 TEST_P(RuntimeEquivalence, VerdictsMatchTheSimulatorNodeForNode) {
   const EquivalenceCase& param = std::get<0>(GetParam());
-  const RuntimeBackend backend = std::get<1>(GetParam());
-  const Scenario scenario = make_scenario(param, backend);
+  const Deployment deployment = std::get<1>(GetParam());
+  const Scenario scenario = make_scenario(param, deployment);
 
   const SimResult sim = run_simulation(scenario.sim, scenario.fault_set());
   const RuntimeResult rt = run_scenario_threads(scenario);
@@ -135,7 +146,7 @@ TEST_P(RuntimeEquivalence, VerdictsMatchTheSimulatorNodeForNode) {
     const std::string where = "node " + std::to_string(v.index) + " (" +
                               std::to_string(v.self.x) + "," +
                               std::to_string(v.self.y) + ") under " +
-                              param.name + "/" + to_string(backend);
+                              param.name + "/" + deployment.name;
     switch (expected) {
       case NodeOutcome::kSource:
         EXPECT_EQ(v.role, NodeRole::kSource) << where;
@@ -161,8 +172,8 @@ TEST_P(RuntimeEquivalence, VerdictsMatchTheSimulatorNodeForNode) {
     }
   }
 
-  // The protocol-level traffic counters agree too: both backends host the
-  // same behaviors observing the same event sequences, so they queue the
+  // The protocol-level traffic counters agree too: simulator and runtime host
+  // the same behaviors observing the same event sequences, so they queue the
   // same broadcasts and commit the same number of times. (Link-level packet
   // counters are timing-dependent and deliberately not compared.)
   EXPECT_EQ(rt.counters.commits, sim.counters.commits);
@@ -175,15 +186,14 @@ TEST_P(RuntimeEquivalence, VerdictsMatchTheSimulatorNodeForNode) {
 INSTANTIATE_TEST_SUITE_P(
     AllProtocols, RuntimeEquivalence,
     testing::Combine(testing::ValuesIn(all_cases()),
-                     testing::Values(RuntimeBackend::kPoll,
-                                     RuntimeBackend::kEpoll)),
+                     testing::Values(kEpoll, kSwarm)),
     [](const testing::TestParamInfo<EquivalenceParam>& info) {
       return std::string(std::get<0>(info.param).name) + "_" +
-             to_string(std::get<1>(info.param));
+             std::get<1>(info.param).name;
     });
 
 // ---------------------------------------------------------------------------
-// Cross-backend: verdict cores are byte-identical
+// Cross-transport: verdict cores are byte-identical
 
 /// Serializes every verdict's deterministic core into one string.
 std::string cores_of(const RuntimeResult& result) {
@@ -195,18 +205,17 @@ std::string cores_of(const RuntimeResult& result) {
   return out.str();
 }
 
-class CrossBackend : public testing::TestWithParam<EquivalenceCase> {};
+class CrossTransport : public testing::TestWithParam<EquivalenceCase> {};
 
-TEST_P(CrossBackend, VerdictCoresAreByteIdenticalUnderPollAndEpoll) {
+TEST_P(CrossTransport, VerdictCoresAreByteIdenticalOverUdpAndSwarmHub) {
   const EquivalenceCase& param = GetParam();
-  const RuntimeResult poll =
-      run_scenario_threads(make_scenario(param, RuntimeBackend::kPoll));
-  const RuntimeResult epoll =
-      run_scenario_threads(make_scenario(param, RuntimeBackend::kEpoll));
-  EXPECT_EQ(cores_of(poll), cores_of(epoll));
+  const RuntimeResult udp = run_scenario_threads(make_scenario(param, kEpoll));
+  const RuntimeResult swarm =
+      run_scenario_threads(make_scenario(param, kSwarm));
+  EXPECT_EQ(cores_of(udp), cores_of(swarm));
 }
 
-INSTANTIATE_TEST_SUITE_P(AllProtocols, CrossBackend,
+INSTANTIATE_TEST_SUITE_P(AllProtocols, CrossTransport,
                          testing::ValuesIn(all_cases()),
                          [](const testing::TestParamInfo<EquivalenceCase>&
                                 info) { return std::string(info.param.name); });

@@ -8,12 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "radiobcast/runtime/harness.h"
 #include "radiobcast/util/rng.h"
 #include "radiobcast/runtime/node.h"
+#include "radiobcast/runtime/swarm.h"
 #include "radiobcast/runtime/transport.h"
 
 namespace rbcast {
@@ -87,7 +90,6 @@ TEST(Scenario, WriteParseRoundtrips) {
   s.crash_at_round = 2;
   s.restart_after_ms = 150;
   s.state_dir = "state";
-  s.backend = RuntimeBackend::kEpoll;
   s.shared_socket = true;
 
   std::ostringstream out;
@@ -118,21 +120,27 @@ TEST(Scenario, WriteParseRoundtrips) {
   EXPECT_EQ(back.crash_at_round, s.crash_at_round);
   EXPECT_EQ(back.restart_after_ms, s.restart_after_ms);
   EXPECT_EQ(back.state_dir, s.state_dir);
-  EXPECT_EQ(back.backend, s.backend);
   EXPECT_EQ(back.shared_socket, s.shared_socket);
 }
 
-TEST(Scenario, ParsesBackendAndRejectsUnknownNames) {
-  const Scenario s = parse_scenario_string(
-      "width 3\nheight 3\nr 1\nbackend epoll\nshared_socket 1\n");
-  EXPECT_EQ(s.backend, RuntimeBackend::kEpoll);
+TEST(Scenario, ParsesSharedSocketAndRejectsTheBackendKey) {
+  const Scenario s =
+      parse_scenario_string("width 3\nheight 3\nr 1\nshared_socket 1\n");
   EXPECT_TRUE(s.shared_socket);
-  EXPECT_EQ(parse_scenario_string("width 3\nheight 3\nr 1\n").backend,
-            RuntimeBackend::kPoll);  // default stays the reference loop
-  EXPECT_THROW(parse_scenario_string("backend kqueue\n"),
-               std::invalid_argument);
+  EXPECT_FALSE(
+      parse_scenario_string("width 3\nheight 3\nr 1\n").shared_socket);
   EXPECT_THROW(parse_scenario_string("shared_socket 2\n"),
                std::invalid_argument);
+  // epoll is the only pacing loop, so the old `backend` key is an unknown
+  // key like any other, reported with its line number.
+  try {
+    parse_scenario_string("width 3\nheight 3\nbackend epoll\n");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 3: unknown key 'backend'"), std::string::npos)
+        << what;
+  }
 }
 
 TEST(Scenario, ParsesChaosAndRecoveryKeys) {
@@ -395,7 +403,9 @@ TEST(Verdict, ParseRejectsMalformedInput) {
 }
 
 TEST(RuntimeNode, RejectsConfigurationsWithoutASocketAnalogue) {
-  FaultInjectionTransport transport(0, {});
+  SwarmHub hub(1);
+  const std::unique_ptr<Transport> mailbox = hub.transport(0);
+  Transport& transport = *mailbox;
   RuntimeNode::Options opts;
   opts.sim.width = 6;
   opts.sim.height = 6;
@@ -428,7 +438,9 @@ TEST(RuntimeNode, RejectsUnsupportedRadiusBeforeFirstRound) {
   // bv-2hop and bv-4hop refuse r = 8 L-inf (outside the determination
   // engine) when the node is built — for every role, so no node of such a
   // deployment starts a round and waits on peers that never will.
-  FaultInjectionTransport transport(0, {});
+  SwarmHub hub(1);
+  const std::unique_ptr<Transport> mailbox = hub.transport(0);
+  Transport& transport = *mailbox;
   RuntimeNode::Options opts;
   opts.sim.r = 8;
   opts.sim.width = opts.sim.height = 4 * opts.sim.r + 2;
