@@ -3,9 +3,11 @@
 // out over a worker pool, prints a per-cell table, and optionally exports the
 // results as JSON and/or CSV (docs/CAMPAIGNS.md documents the schema).
 //
-//   $ radiobcast-campaign --protocols=bv-2hop --adversaries=silent,lying \
-//       --placements=checkerboard-strip --r=2 --t=3:6 --reps=5 \
+//   $ radiobcast-campaign --protocols=bv-2hop --adversaries=silent,lying
+//       --placements=checkerboard-strip --r=2 --t=3:6 --reps=5
 //       --workers=8 --json=sweep.json --csv=sweep.csv
+//
+// (one command line, wrapped here).
 //
 // List-valued flags take comma-separated canonical names (the to_string
 // spellings); --t and --r also accept lo:hi ranges. Results are bit-identical

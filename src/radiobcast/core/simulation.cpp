@@ -7,7 +7,6 @@
 
 #include "radiobcast/net/jamming.h"
 #include "radiobcast/net/network.h"
-#include "radiobcast/protocols/bv_indirect.h"
 #include "radiobcast/protocols/byzantine.h"
 #include "radiobcast/protocols/common.h"
 #include "radiobcast/protocols/pool.h"
@@ -73,9 +72,9 @@ std::optional<AdversaryKind> adversary_from_string(std::string_view name) {
 
 namespace {
 
-/// The pool for `slots` honest nodes of this configuration, or nullptr for
-/// the protocols that have no pool (bv-4hop). Lives here, not in protocols/,
-/// because it is the one place SimConfig meets the pool classes.
+/// The pool for `slots` honest nodes of this configuration. Lives here, not
+/// in protocols/, because it is the one place SimConfig meets the pool
+/// classes.
 std::unique_ptr<NodePool> make_honest_pool(const SimConfig& cfg,
                                            const Torus& torus,
                                            std::int64_t slots) {
@@ -89,28 +88,19 @@ std::unique_ptr<NodePool> make_honest_pool(const SimConfig& cfg,
       return std::make_unique<BvTwoHopPool>(params, torus, cfg.r, cfg.metric,
                                             slots);
     case ProtocolKind::kBvIndirectFlood:
+      return std::make_unique<BvIndirectPool>(
+          params, torus, cfg.r, cfg.metric, RelayMode::kFlood, slots);
     case ProtocolKind::kBvIndirectEarmarked:
-      return nullptr;
+      return std::make_unique<BvIndirectPool>(
+          params, torus, cfg.r, cfg.metric, RelayMode::kEarmarked, slots);
   }
-  return nullptr;
+  throw std::logic_error("unknown protocol");
 }
 
-/// One honest node: a one-slot view of the protocol's pool, or the bv-4hop
-/// behavior.
+/// One honest node: a one-slot view of the protocol's pool.
 std::unique_ptr<NodeBehavior> make_honest(const SimConfig& cfg,
                                           const Torus& torus) {
-  if (auto pool = make_honest_pool(cfg, torus, 1)) {
-    return std::make_unique<PoolSlotBehavior>(std::move(pool));
-  }
-  if (cfg.protocol == ProtocolKind::kBvIndirectEarmarked &&
-      cfg.metric != Metric::kLInf) {
-    throw std::invalid_argument(
-        "earmarked relays require the L-infinity metric");
-  }
-  return std::make_unique<BvIndirectBehavior>(
-      ProtocolParams{cfg.t, cfg.source}, torus, cfg.r, cfg.metric,
-      cfg.protocol == ProtocolKind::kBvIndirectFlood ? RelayMode::kFlood
-                                                     : RelayMode::kEarmarked);
+  return std::make_unique<PoolSlotBehavior>(make_honest_pool(cfg, torus, 1));
 }
 
 std::unique_ptr<NodeBehavior> make_faulty(const SimConfig& cfg,
@@ -209,14 +199,12 @@ SimResult run_simulation(const SimConfig& cfg, const FaultSet& faults,
   if (cfg.retransmissions != 1) {
     net.set_retransmissions(cfg.retransmissions);
   }
-  if (auto pool = make_honest_pool(cfg, torus, torus.node_count())) {
-    net.set_pool(std::move(pool));
-  }
+  net.set_pool(make_honest_pool(cfg, torus, torus.node_count()));
   for (const Coord c : torus.all_coords()) {
     const NodeRole role = c == source         ? NodeRole::kSource
                           : faults.contains(c) ? NodeRole::kFaulty
                                                : NodeRole::kHonest;
-    if (role == NodeRole::kHonest && net.pool() != nullptr) {
+    if (role == NodeRole::kHonest) {
       net.assign_to_pool(c);
     } else {
       net.set_behavior(c, make_node_behavior(cfg, torus, role));

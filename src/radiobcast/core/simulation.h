@@ -165,11 +165,11 @@ enum class NodeRole : std::uint8_t { kSource, kHonest, kFaulty };
 /// the single node-population recipe shared by the simulator and the
 /// networked runtime (runtime/node.h), which is what makes their verdicts
 /// comparable: same config + same roles = same protocol code. An honest
-/// crash-flood, cpa or bv-2hop node is a one-slot view of the pool
-/// run_simulation installs (protocols/pool.h). Throws std::invalid_argument
-/// when the protocol does not support the geometry (bv-2hop and bv-4hop:
-/// L∞ r <= 7, L2 r <= 9). Forward-declared NodeBehavior lives in
-/// net/backend.h.
+/// node is a one-slot view of the pool run_simulation installs
+/// (protocols/pool.h). Throws std::invalid_argument when the protocol does
+/// not support the geometry (bv-2hop and bv-4hop: BvPool::supported) or,
+/// for bv-4hop-earmarked, the metric (L∞ only). Forward-declared
+/// NodeBehavior lives in net/backend.h.
 class NodeBehavior;
 std::unique_ptr<NodeBehavior> make_node_behavior(const SimConfig& config,
                                                  const Torus& torus,

@@ -12,9 +12,9 @@
 //     perfect links and a round synchronizer (docs/RUNTIME.md).
 //
 // The same protocol code therefore runs unmodified in simulation and in the
-// networked runtime. For crash-flood, cpa and bv-2hop the simulator drives
-// one pool over all honest nodes (net/pool.h) and the runtime hosts a
-// one-slot view of that pool per node (protocols/pool.h, PoolSlotBehavior).
+// networked runtime. For every protocol the simulator drives one pool over
+// all honest nodes (net/pool.h) and the runtime hosts a one-slot view of
+// that pool per node (protocols/pool.h, PoolSlotBehavior).
 // Sim/runtime verdict equivalence is pinned by
 // tests/test_runtime_equivalence.cpp.
 

@@ -174,10 +174,13 @@ void RadioNetwork::queue_spoofed_broadcast(Coord actual_sender,
 
 void RadioNetwork::start() {
   if (started_) throw std::logic_error("RadioNetwork::start called twice");
-  behavior_nodes_.clear();
+  sweep_nodes_.clear();
+  const bool pool_round_end = pool_ != nullptr && pool_->has_round_end();
   for (std::int64_t i = 0; i < torus_.node_count(); ++i) {
     if (node_flags_[static_cast<std::size_t>(i)] & kPoolManaged) {
-      continue;  // no start work
+      // No start work; round-end work only if the pool asks for it.
+      if (pool_round_end) sweep_nodes_.push_back(static_cast<std::int32_t>(i));
+      continue;
     }
     NodeBehavior* b = behaviors_[static_cast<std::size_t>(i)].get();
     if (b == nullptr) {
@@ -185,7 +188,7 @@ void RadioNetwork::start() {
                                  static_cast<std::int32_t>(i))) +
                              " has no behavior");
     }
-    behavior_nodes_.push_back(static_cast<std::int32_t>(i));
+    sweep_nodes_.push_back(static_cast<std::int32_t>(i));
     NodeContext ctx(*this, node_coords_[static_cast<std::size_t>(i)]);
     b->on_start(ctx);
   }
@@ -199,7 +202,7 @@ void RadioNetwork::start() {
            sizeof(std::unique_ptr<NodeBehavior>) + sizeof(std::uint8_t)) +
       n * static_cast<std::uint64_t>(adjacency_.degree()) *
           sizeof(std::int32_t) +
-      behavior_nodes_.size() * sizeof(std::int32_t);
+      sweep_nodes_.size() * sizeof(std::int32_t);
   update_engine_bytes();
 }
 
@@ -283,12 +286,18 @@ void RadioNetwork::run_round() {
     }
   }
   pending_.clear();
-  // Pools have no round-end work, so the sweep covers only the behavior
-  // nodes (node-index order) — on a million-node torus, just the source and
-  // the faults.
-  for (const std::int32_t i : behavior_nodes_) {
+  // One sweep in node-index order, each node handed to its pool or its
+  // behavior, so round-end commits queue their COMMITTEDs in index order
+  // however the nodes are hosted. Message-driven pools stay out of the
+  // sweep: on a million-node crash-flood torus it visits just the source
+  // and the faults.
+  for (const std::int32_t i : sweep_nodes_) {
     NodeContext ctx(*this, node_coords_[static_cast<std::size_t>(i)]);
-    behaviors_[static_cast<std::size_t>(i)]->on_round_end(ctx);
+    if (node_flags_[static_cast<std::size_t>(i)] & kPoolManaged) {
+      pool_->on_round_end(ctx, i);
+    } else {
+      behaviors_[static_cast<std::size_t>(i)]->on_round_end(ctx);
+    }
   }
   // Swap instead of move-assign so both buffers keep their capacity across
   // rounds (the steady-state allocation-free contract).

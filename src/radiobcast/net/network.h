@@ -106,7 +106,8 @@ class RadioNetwork final : public BroadcastBackend {
   void start();
 
   /// Delivers everything sent in the previous round, then runs on_round_end
-  /// for every behavior node.
+  /// for every behavior node and, if the pool has round-end work, every
+  /// pool node, in one node-index-ordered sweep.
   void run_round();
 
   /// True when no transmissions are waiting for delivery.
@@ -190,7 +191,9 @@ class RadioNetwork final : public BroadcastBackend {
   std::vector<std::unique_ptr<NodeBehavior>> behaviors_;  // by node index
   std::unique_ptr<NodePool> pool_;      // optional SoA state (net/pool.h)
   std::vector<std::uint8_t> node_flags_;  // by node index, bits as above
-  std::vector<std::int32_t> behavior_nodes_;  // non-pool indices (at start())
+  // The round-end sweep, in index order (at start()): the behavior nodes,
+  // plus the pool nodes if the pool has round-end work.
+  std::vector<std::int32_t> sweep_nodes_;
   std::uint64_t fixed_state_bytes_ = 0;       // computed at start()
   std::vector<std::uint64_t> tx_count_;                   // by node index
   std::vector<Pending> pending_;  // sent last round, deliver this round

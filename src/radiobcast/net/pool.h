@@ -24,8 +24,9 @@ namespace rbcast {
 
 /// Flat multi-node protocol state. Callbacks mirror NodeBehavior's, with
 /// the dense node index added so implementations address plain arrays. Pools
-/// are purely message-driven: they have no start or round-end work, so the
-/// network never sweeps pool nodes outside deliveries.
+/// have no start work. Round-end work is opt-in: the network sweeps a pool's
+/// nodes at round end only if has_round_end() says so, so message-driven
+/// pools cost nothing outside deliveries.
 class NodePool {
  public:
   virtual ~NodePool() = default;
@@ -33,6 +34,12 @@ class NodePool {
   /// Called for each transmission heard by a managed node.
   virtual void on_receive(NodeContext& ctx, std::int32_t node,
                           const Envelope& env) = 0;
+
+  /// Called once per round for each managed node, after all of the round's
+  /// deliveries, if has_round_end(). The network interleaves these calls
+  /// with the behavior nodes' on_round_end in node-index order.
+  virtual void on_round_end(NodeContext& /*ctx*/, std::int32_t /*node*/) {}
+  virtual bool has_round_end() const { return false; }
 
   virtual std::optional<std::uint8_t> committed_value(
       std::int32_t node) const = 0;

@@ -1,23 +1,9 @@
 #pragma once
-// Shared protocol state machinery.
-//
-// Both Byzantine protocols (Section VI and Section VI-B) commit through the
-// same final rule: a node commits to v once it has *reliably determined* that
-// at least t+1 nodes lying in some single neighborhood committed to v. The
-// NeighborhoodCommitCounter implements that rule incrementally: every new
-// determination (origin, v) bumps a counter for every center c with origin in
-// nbd(c); the first (c, v) counter to reach t+1 triggers the commit.
+// Parameters shared by every protocol.
 
-#include <array>
 #include <cstdint>
-#include <optional>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "radiobcast/grid/coord.h"
-#include "radiobcast/grid/metric.h"
-#include "radiobcast/grid/neighborhood.h"
-#include "radiobcast/grid/torus.h"
 
 namespace rbcast {
 
@@ -32,42 +18,5 @@ struct ProtocolParams {
   /// tests turn it on to observe the full determination set.
   bool track_after_commit = false;
 };
-
-/// Incremental evaluation of the "t+1 determined committers within one
-/// neighborhood" commit rule. Single value domain {0,1}.
-class NeighborhoodCommitCounter {
- public:
-  NeighborhoodCommitCounter(const Torus& torus, std::int32_t r, Metric m,
-                            std::int64_t t);
-
-  /// Records a reliable determination that `origin` committed `value`.
-  /// Idempotent per (origin, value). Returns the value to commit to when the
-  /// rule first fires (and keeps firing state so callers may stop consulting
-  /// it afterwards).
-  std::optional<std::uint8_t> record(Coord origin, std::uint8_t value);
-
-  bool is_determined(Coord origin, std::uint8_t value) const;
-
-  std::int64_t determined_count() const {
-    return static_cast<std::int64_t>(determined_.size());
-  }
-
- private:
-  Torus torus_;  // by value: tiny, and avoids lifetime coupling to callers
-  std::int32_t r_;
-  Metric m_;
-  std::int64_t t_;
-  // Hoisted out of record(): tables are process-lifetime, so one lookup at
-  // construction replaces a mutex-guarded cache hit per determination.
-  const NeighborhoodTable* table_;
-  // (origin, value) pairs already recorded; value packed in the low bit.
-  std::unordered_set<std::uint64_t> determined_;
-  // Per-center counts of determined committers, one slot per value.
-  std::unordered_map<Coord, std::array<std::int32_t, 2>> center_counts_;
-};
-
-/// Packs an (origin, value) pair into a hashable key (coordinates are
-/// canonical torus coords, so 21 bits per component is ample).
-std::uint64_t origin_value_key(Coord origin, std::uint8_t value);
 
 }  // namespace rbcast

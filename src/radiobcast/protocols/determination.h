@@ -36,9 +36,10 @@
 //     set, so cache hits can never change simulation results, only skip
 //     recomputation (the golden determinism suite pins this).
 //
-// Domain: the fast engine requires the candidate-center count |nbd| to fit
-// CenterSet (256 bits — every r <= 7 under both metrics). Larger radii fall
-// back to the legacy per-round path in the protocol implementations.
+// Domain: the engine requires the candidate-center count |nbd| to fit
+// CenterSet (256 bits — L∞ r <= 7, L2 r <= 9). There is no other engine: the
+// BV pools reject larger radii with std::invalid_argument when they are
+// built (BvPool::supported, protocols/pool.h).
 
 #include <array>
 #include <bit>

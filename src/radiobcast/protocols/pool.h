@@ -17,15 +17,21 @@
 //   * a shared arena for the per-(node, origin, value) reporter-count blocks
 //     of the two-hop protocol (one contiguous K-slot block per active pair).
 //
+// The full Bhandari–Vaidya protocol's evidence is the exception: it stays in
+// per-node maps (see BvIndirectPool).
+//
 // A pool built over a whole torus manages the honest nodes of one trial; the
 // source and faulty nodes keep their per-node behaviors (net/pool.h
 // documents the dispatch split). Hosts that run one node at a time — the
 // networked runtime and the crash-at-round adversary — drive a one-slot pool
 // through PoolSlotBehavior instead, so they run the simulator's code.
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "radiobcast/grid/neighborhood.h"
@@ -36,6 +42,8 @@
 #include "radiobcast/protocols/determination.h"
 
 namespace rbcast {
+
+class EarmarkPlan;
 
 /// Always true: run_simulation installs a pool for every protocol that has
 /// one. Kept for bench/ledger/replay.cpp, which mirrors run_simulation's
@@ -322,31 +330,30 @@ class CpaPool final : public NodePool {
   PackedKeySet first_claim_;          // (node << 32) | sender index
 };
 
-/// The simplified Bhandari–Vaidya protocol (Section VI-B, and the companion
-/// report [10]): only the *immediate neighbors* of a node that sent a
-/// COMMITTED message send a HEARD message reporting it, so information about
-/// a commit travels at most two hops. This achieves the same exact threshold
-/// t < r(2r+1)/2 as the full protocol in L∞, with far less traffic.
+/// What the two Bhandari–Vaidya protocols share. The full protocol (Section
+/// VI, BvIndirectPool) and its two-hop variant (Section VI-B, BvTwoHopPool)
+/// differ only in how far HEARD reports travel and how a node weighs them;
+/// this base owns the rest:
+///  * COMMITTED handling. The first COMMITTED(i, v) heard from i itself (its
+///    origin must be the transmitter: no spoofing, Section II) is a direct
+///    reliable determination of (i, v). The node reports it once as
+///    HEARD(self, i, v) (the first-hop relay duty), and the source's direct
+///    neighbors commit on it at once.
+///  * The commit rule: commit to v once t+1 determined committers of v lie in
+///    one neighborhood. Each new determination (i, v) bumps a count for every
+///    center c with i in nbd(c) (c itself is never in nbd(c)); the first
+///    (c, v) count to reach t+1 fires. At most t of those committers can be
+///    faulty, so honest nodes never commit wrongly.
+///  * has_determined(), and the geometry both pools handle (supported()).
 ///
-/// Commit rule implemented (a localized instance of Section V's sufficient
-/// condition):
-///  * reliable determination of (i, v):
-///      - heard COMMITTED(i, v) from i directly (first value per sender), or
-///      - heard HEARD(k, i, v) from t+1 distinct reporters k such that, for
-///        some single center c, i and all t+1 reporters lie in nbd(c). Since
-///        each such evidence chain has exactly one intermediate and the
-///        reporters are distinct, the chains are automatically node-disjoint;
-///        at most t of them can be faulty, so one is honest and truthful.
-///  * commit to v once t+1 determined committers of v lie in one neighborhood
-///    (the NeighborhoodCommitCounter rule of protocols/common.h, inlined).
-///
-/// Reporter counting walks the CenterTable bitsets (protocols/
-/// determination.h). The per-node maps/sets are packed tables keyed by
-/// (node, peer[, value]), and the per-(origin, value) reporter counts are
-/// K-slot blocks in one shared arena.
-class BvTwoHopPool final : public NodePool {
+/// A committed node records no further determinations unless
+/// track_after_commit is set: its only outward signal, its COMMITTED
+/// broadcast, is already sent. The commit state, first-COMMITTED set,
+/// determined set and per-center counts are packed tables keyed by
+/// (node, peer[, value]).
+class BvPool : public NodePool {
  public:
-  /// The geometry the pool handles: CenterTable radii (L∞ r <= 7, L2
+  /// The geometry the BV pools handle: CenterTable radii (L∞ r <= 7, L2
   /// r <= 9), sides over 2r so distinct center offsets never wrap to one
   /// node, and 21-bit node indices for the packed keys.
   static bool supported(const Torus& torus, std::int32_t r, Metric m) {
@@ -354,40 +361,62 @@ class BvTwoHopPool final : public NodePool {
            torus.height() > 2 * r && torus.node_count() < (1 << 21);
   }
 
-  /// A pool of `slots` nodes; the four-argument form covers every node of
-  /// the torus. Throws std::invalid_argument unless supported(torus, r, m).
-  BvTwoHopPool(const ProtocolParams& params, const Torus& torus,
-               std::int32_t r, Metric m, std::int64_t slots);
-  BvTwoHopPool(const ProtocolParams& params, const Torus& torus,
-               std::int32_t r, Metric m)
-      : BvTwoHopPool(params, torus, r, m, torus.node_count()) {}
-
-  void on_receive(NodeContext& ctx, std::int32_t node,
-                  const Envelope& env) override;
-
   std::optional<std::uint8_t> committed_value(std::int32_t node) const override {
     return state_.committed_value(node);
   }
   std::optional<std::int64_t> commit_round(std::int32_t node) const override {
     return state_.commit_round(node);
   }
-  std::uint64_t state_bytes() const override;
 
   /// True iff `node` has reliably determined that `origin` committed
   /// `value`.
   bool has_determined(std::int32_t node, Coord origin,
                       std::uint8_t value) const {
-    return determined_.contains(
-        nov_key(node, torus_.index(torus_.wrap(origin)), value));
+    return determined(node, torus_.index(origin), value);
   }
 
- private:
+ protected:
+  /// A pool of `slots` nodes; `name` labels the geometry error. Throws
+  /// std::invalid_argument unless supported(torus, r, m). Unless
+  /// track_after_commit is set, a node declares `ignored_after_commit`
+  /// (NodeContext::ignore) when it commits: the derived pool's HEARD handler
+  /// must then drop those classes unread.
+  BvPool(const char* name, const ProtocolParams& params, const Torus& torus,
+         std::int32_t r, Metric m, std::int64_t slots,
+         MessageClasses ignored_after_commit);
+
+  /// The shared COMMITTED rule; each derived pool's on_receive hands it
+  /// every COMMITTED and keeps its HEARDs.
   void handle_committed(NodeContext& ctx, std::int32_t node,
                         const Envelope& env);
-  void handle_heard(NodeContext& ctx, std::int32_t node, const Envelope& env);
+
+  /// Called when `node` newly determines (origin, value), whose evidence is
+  /// then no longer needed. `origin` is canonical.
+  virtual void drop_evidence(std::int32_t /*node*/, Coord /*origin*/,
+                             std::uint8_t /*value*/) {}
+
+  /// Records that `node` reliably determined that `origin` committed
+  /// `value`, and applies the commit rule. Idempotent per pair; a no-op
+  /// once the node stops recording.
   void determine(NodeContext& ctx, std::int32_t node, Coord origin,
                  std::uint8_t value);
-  void commit(NodeContext& ctx, std::int32_t node, std::uint8_t value);
+
+  /// True while `node` keeps evidence and determinations: until it commits,
+  /// or for good under track_after_commit.
+  bool recording(std::int32_t node) const {
+    return !state_.committed(node) || track_after_commit_;
+  }
+
+  bool determined(std::int32_t node, std::int32_t origin,
+                  std::uint8_t value) const {
+    return determined_.contains(nov_key(node, origin, value));
+  }
+
+  /// Bytes of the state this base holds.
+  std::uint64_t shared_state_bytes() const {
+    return state_.bytes() + first_committed_.bytes() + determined_.bytes() +
+           center_counts_.bytes();
+  }
 
   // (node, origin index, value bit) — 21 + 21 + 1 bits.
   static std::uint64_t nov_key(std::int32_t node, std::int32_t origin,
@@ -400,21 +429,189 @@ class BvTwoHopPool final : public NodePool {
   }
 
   std::int64_t t_;
-  bool track_after_commit_;
-  Coord source_;
   std::int32_t r_;
   Metric m_;
   Torus torus_;
-  const NeighborhoodTable& table_;
   const CenterTable& center_table_;
+
+ private:
+  void commit(NodeContext& ctx, std::int32_t node, std::uint8_t value);
+
+  bool track_after_commit_;
+  Coord source_;
+  MessageClasses ignored_after_commit_;
+  const NeighborhoodTable& table_;
   CommitArrays state_;
   PackedKeySet first_committed_;  // (node << 32) | sender index
-  PackedKeySet heard_consumed_;   // (node << 42) | (reporter << 21) | origin
   PackedKeySet determined_;       // nov_key(node, origin, value)
   PackedU32Map center_counts_;    // nov_key(node, center, value) -> count
+};
+
+/// The simplified Bhandari–Vaidya protocol (Section VI-B, and the companion
+/// report [10]): only the *immediate neighbors* of a node that sent a
+/// COMMITTED message send a HEARD message reporting it, so information about
+/// a commit travels at most two hops. This achieves the same exact threshold
+/// t < r(2r+1)/2 as the full protocol in L∞, with far less traffic.
+///
+/// Indirect determination of (i, v), a localized instance of Section V's
+/// sufficient condition: HEARD(k, i, v) from t+1 distinct reporters k such
+/// that, for some single center c, i and all t+1 reporters lie in nbd(c).
+/// Since each such evidence chain has exactly one intermediate and the
+/// reporters are distinct, the chains are automatically node-disjoint; at
+/// most t of them can be faulty, so one is honest and truthful. HEARDs carry
+/// no relay duty.
+///
+/// Reporter counting walks the CenterTable bitsets (protocols/
+/// determination.h). The first-HEARD set is a packed table keyed by
+/// (node, reporter, origin), and the per-(origin, value) reporter counts are
+/// K-slot blocks in one shared arena.
+class BvTwoHopPool final : public BvPool {
+ public:
+  /// A pool of `slots` nodes; the four-argument form covers every node of
+  /// the torus. Throws std::invalid_argument unless supported(torus, r, m).
+  BvTwoHopPool(const ProtocolParams& params, const Torus& torus,
+               std::int32_t r, Metric m, std::int64_t slots)
+      : BvPool("bv-2hop", params, torus, r, m, slots,
+               MessageClasses::heard_from(0)) {}
+  BvTwoHopPool(const ProtocolParams& params, const Torus& torus,
+               std::int32_t r, Metric m)
+      : BvTwoHopPool(params, torus, r, m, torus.node_count()) {}
+
+  void on_receive(NodeContext& ctx, std::int32_t node,
+                  const Envelope& env) override {
+    if (env.msg.type == MsgType::kCommitted) {
+      handle_committed(ctx, node, env);
+    } else {
+      handle_heard(ctx, node, env);
+    }
+  }
+  std::uint64_t state_bytes() const override;
+
+ private:
+  void handle_heard(NodeContext& ctx, std::int32_t node, const Envelope& env);
+
+  PackedKeySet heard_consumed_;   // (node << 42) | (reporter << 21) | origin
   PackedU32Map reporter_blocks_;  // nov_key(node, origin, value) -> block + 1
   std::vector<std::int32_t> reporter_arena_;  // blocks of K counts
   std::size_t arena_blocks_ = 0;
+};
+
+/// How the full protocol relays HEARD reports.
+enum class RelayMode : std::uint8_t {
+  /// The faithful protocol: relay every plausible, potentially useful HEARD
+  /// (the chain plus the relayer must still fit in a single neighborhood
+  /// with the committer, otherwise no decider could ever accept an
+  /// extension of it).
+  kFlood,
+  /// Relay only along the constructive path families of Theorem 3
+  /// (protocols/earmark.h): same commit outcomes, far less traffic. L∞ only.
+  kEarmarked,
+};
+
+/// The full Bhandari–Vaidya protocol (Section VI): COMMITTED announcements
+/// plus HEARD reports relayed through up to three intermediate nodes (four
+/// hops from the committer). Achieves the exact threshold t < r(2r+1)/2 in
+/// L∞ (Theorems 1-3).
+///
+/// Indirect determination of (i, v): t+1 *node-disjoint* reported paths
+/// i -> relayers... whose nodes (i and every relayer) all lie in nbd(c) for a
+/// single center c. Reports are atomic trust units (a report is truthful iff
+/// all its relayers are honest), so disjointness is computed by exact set
+/// packing over whole reports (paths/packing.h), never by recombining hops.
+/// Reports accumulate during deliveries and are evaluated at round end.
+///
+/// Evidence is not flat: each node keeps a map from (origin, value) to its
+/// IncrementalDetermination (protocols/determination.h) and the set of pairs
+/// whose evidence grew this round. The flood's O(|nbd|^3) relays per commit
+/// keep bv-4hop to small tori, where these maps cost little.
+///
+/// Growth is bounded against report-flooding adversaries: at most
+/// kReportsPerFirstRelayer reports are kept per first relayer (the first
+/// relayer must be a plausible direct neighbor of the committer, so there
+/// are at most |nbd| of them). Honest constructive families use distinct
+/// first relayers, so the cap never starves an honest determination; junk
+/// beyond the cap is dropped, which can only delay liveness, never break
+/// safety.
+///
+/// state_bytes() is 0: bv-4hop evidence was never part of engine_bytes_peak,
+/// and counting it would move that exported figure in every bv-4hop trial.
+class BvIndirectPool final : public BvPool {
+ public:
+  /// A pool of `slots` nodes; the five-argument form covers every node of
+  /// the torus. Throws std::invalid_argument unless supported(torus, r, m),
+  /// or for earmarked relays under a metric other than L∞.
+  BvIndirectPool(const ProtocolParams& params, const Torus& torus,
+                 std::int32_t r, Metric m, RelayMode mode,
+                 std::int64_t slots);
+  BvIndirectPool(const ProtocolParams& params, const Torus& torus,
+                 std::int32_t r, Metric m, RelayMode mode)
+      : BvIndirectPool(params, torus, r, m, mode, torus.node_count()) {}
+
+  void on_receive(NodeContext& ctx, std::int32_t node,
+                  const Envelope& env) override {
+    if (env.msg.type == MsgType::kCommitted) {
+      handle_committed(ctx, node, env);
+    } else {
+      handle_heard(ctx, node, env);
+    }
+  }
+  void on_round_end(NodeContext& ctx, std::int32_t node) override;
+  bool has_round_end() const override { return true; }
+
+ private:
+  static constexpr std::size_t kMaxRelayers = 3;  // "up to three"
+  static constexpr int kReportsPerFirstRelayer = 8;
+
+  /// One node's evidence: the pairs it has reports about, by pair_key, and
+  /// the pairs to re-check at round end.
+  struct NodeEvidence {
+    std::unordered_map<std::uint64_t, IncrementalDetermination> pairs;
+    std::unordered_set<std::uint64_t> dirty;
+  };
+
+  /// The receiver-independent checks of one HEARD transmission, kept for
+  /// the transmission last seen. Its ~|nbd| deliveries arrive back to back,
+  /// so the CSR fan-out validates it once instead of once per receiver. The
+  /// torus, r and metric are the pool's, so the key is just the
+  /// transmission; every other field is a pure function of it, so reuse
+  /// cannot change any output. No HEARD that reaches validation has an
+  /// empty chain, so the default key matches nothing.
+  struct Validation {
+    Coord sender{};
+    Coord raw_origin{};
+    RelayerChain raw_relayers;
+    bool plausible = false;  // no spoofing, hops within r, nodes distinct
+    Coord origin{};
+    RelayerChain chain;                                 // wrapped
+    std::array<Offset, RelayerChain::kCapacity> rel{};  // origin-relative
+    std::uint64_t report_key = 0;  // packed dedup key of rel
+    CenterSet chain_centers;       // AND of containing(rel[i]) over the chain
+  };
+
+  /// Pair keys order x-major, then y, then value: the order in which a
+  /// node's round end evaluates its pairs.
+  static std::uint64_t pair_key(Coord origin, std::uint8_t value) {
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(origin.x))
+            << 33) |
+           (static_cast<std::uint64_t>(static_cast<std::uint32_t>(origin.y))
+            << 1) |
+           (value & 1);
+  }
+  static Coord pair_origin(std::uint64_t key) {
+    return {static_cast<std::int32_t>(key >> 33),
+            static_cast<std::int32_t>((key >> 1) & 0xFFFFFFFFu)};
+  }
+
+  void handle_heard(NodeContext& ctx, std::int32_t node, const Envelope& env);
+  void drop_evidence(std::int32_t node, Coord origin,
+                     std::uint8_t value) override;
+  const Validation& validate(Coord sender, const Message& msg);
+
+  const EarmarkPlan* earmarks_;  // the relay plan; null for kFlood
+  std::uint64_t digest_seed_;
+  std::vector<NodeEvidence> evidence_;  // by node
+  Validation last_;
+  std::vector<std::uint64_t> scratch_keys_;  // round-end scratch
 };
 
 /// One node's view of a pool: drives a one-slot pool at slot 0, so hosts
@@ -430,6 +627,7 @@ class PoolSlotBehavior final : public NodeBehavior {
   void on_receive(NodeContext& ctx, const Envelope& env) override {
     pool_->on_receive(ctx, 0, env);
   }
+  void on_round_end(NodeContext& ctx) override { pool_->on_round_end(ctx, 0); }
   std::optional<std::uint8_t> committed_value() const override {
     return pool_->committed_value(0);
   }

@@ -37,7 +37,6 @@
 #include "radiobcast/net/tdma.h"            // IWYU pragma: export
 
 // Protocols.
-#include "radiobcast/protocols/bv_indirect.h"  // IWYU pragma: export
 #include "radiobcast/protocols/byzantine.h"    // IWYU pragma: export
 #include "radiobcast/protocols/common.h"       // IWYU pragma: export
 #include "radiobcast/protocols/earmark.h"      // IWYU pragma: export

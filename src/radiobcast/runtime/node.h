@@ -3,9 +3,9 @@
 //
 // RuntimeNode is the UDP-backed sibling of RadioNetwork: it implements the
 // BroadcastBackend interface (net/backend.h), so the simulator's protocol
-// code runs here unmodified — an honest crash-flood, cpa or bv-2hop node is
-// a one-slot view of the pool the simulator shares across all its nodes
-// (protocols/pool.h). The stack underneath is
+// code runs here unmodified — an honest node is a one-slot view of the pool
+// the simulator shares across all its nodes (protocols/pool.h). The stack
+// underneath is
 //
 //   NodeBehavior (protocols/*)      — the simulator's protocol logic
 //   RuntimeNode                      — event loop, round mapping, verdicts,

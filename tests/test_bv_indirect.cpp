@@ -1,5 +1,3 @@
-#include "radiobcast/protocols/bv_indirect.h"
-
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -7,6 +5,8 @@
 #include "radiobcast/core/analysis.h"
 #include "radiobcast/core/experiment.h"
 #include "radiobcast/core/simulation.h"
+#include "radiobcast/net/network.h"
+#include "radiobcast/protocols/pool.h"
 
 namespace rbcast {
 namespace {
@@ -129,77 +129,77 @@ TEST(BvIndirect, EarmarkedRequiresLinf) {
   EXPECT_THROW(run_simulation(cfg, FaultSet{}), std::invalid_argument);
 }
 
-TEST(BvIndirect, BehaviorUnitRejectsImplausibleChains) {
-  const Torus torus(20, 20);
-  RadioNetwork net(torus, 2, Metric::kLInf, 1);
-  for (const Coord c : torus.all_coords()) {
-    net.set_behavior(c, std::make_unique<BvIndirectBehavior>(
-                            ProtocolParams{1, {0, 0}}, torus, 2,
-                            Metric::kLInf, RelayMode::kFlood));
-  }
-  const Coord self{10, 10};
-  NodeContext ctx(net, self);
-  auto* b = dynamic_cast<BvIndirectBehavior*>(net.behavior(self));
+/// One bv-4hop node at (10, 10) on a 20x20 torus at r = 2: a one-slot pool
+/// fed deliveries by hand. The source, (0, 0), never transmits here.
+class UnitNode {
+ public:
+  static constexpr Coord kSelf{10, 10};
 
+  explicit UnitNode(std::int64_t t)
+      : pool_(ProtocolParams{t, {0, 0}}, net_.torus(), 2, Metric::kLInf,
+              RelayMode::kFlood, 1) {}
+
+  void deliver(Coord sender, const Message& msg) {
+    NodeContext ctx(net_, kSelf);
+    pool_.on_receive(ctx, 0, {sender, msg});
+  }
+  void end_round() {
+    NodeContext ctx(net_, kSelf);
+    pool_.on_round_end(ctx, 0);
+  }
+
+  bool determined(Coord origin) const {
+    return pool_.has_determined(0, origin, 1);
+  }
+  bool committed() const { return pool_.committed_value(0).has_value(); }
+
+ private:
+  RadioNetwork net_{Torus(20, 20), 2, Metric::kLInf, 1};
+  BvIndirectPool pool_;
+};
+
+TEST(BvIndirect, BehaviorUnitRejectsImplausibleChains) {
+  // At t = 0 a single accepted chain determines its origin, and one
+  // determined committer commits the node, so every check below that let
+  // its chain through would show.
+  UnitNode node(0);
   // Chain with a hop longer than r: dropped.
-  b->on_receive(ctx, {{9, 9}, make_heard({{4, 4}, {9, 9}}, {0, 0}, 1)});
+  node.deliver({9, 9}, make_heard({{4, 4}, {9, 9}}, {0, 0}, 1));
   // Chain with a repeated node: dropped.
-  b->on_receive(ctx, {{9, 9}, make_heard({{9, 9}, {8, 8}, {9, 9}}, {7, 7}, 1)});
+  node.deliver({9, 9}, make_heard({{9, 9}, {8, 8}, {9, 9}}, {7, 7}, 1));
   // Outermost relayer != transmitter: dropped.
-  b->on_receive(ctx, {{9, 9}, make_heard({{8, 8}}, {7, 7}, 1)});
+  node.deliver({9, 9}, make_heard({{8, 8}}, {7, 7}, 1));
   // More than 3 relayers: dropped.
-  b->on_receive(ctx,
-                {{9, 9},
-                 make_heard({{6, 6}, {7, 7}, {8, 8}, {9, 9}}, {5, 5}, 1)});
-  b->on_round_end(ctx);
-  EXPECT_EQ(b->determinations(), 0);
+  node.deliver({9, 9},
+               make_heard({{6, 6}, {7, 7}, {8, 8}, {9, 9}}, {5, 5}, 1));
+  node.end_round();
+  for (const Coord origin : {Coord{0, 0}, Coord{7, 7}, Coord{5, 5}}) {
+    EXPECT_FALSE(node.determined(origin)) << to_string(origin);
+  }
+  EXPECT_FALSE(node.committed());
 }
 
 TEST(BvIndirect, BehaviorUnitDeterminationViaDisjointChains) {
-  const Torus torus(20, 20);
-  const std::int64_t t = 1;
-  RadioNetwork net(torus, 2, Metric::kLInf, 1);
-  for (const Coord c : torus.all_coords()) {
-    net.set_behavior(c, std::make_unique<BvIndirectBehavior>(
-                            ProtocolParams{t, {0, 0}}, torus, 2,
-                            Metric::kLInf, RelayMode::kFlood));
-  }
-  const Coord self{10, 10};
+  UnitNode node(1);
   const Coord origin{14, 10};  // 4 away: needs 2-intermediate chains
-  NodeContext ctx(net, self);
-  auto* b = dynamic_cast<BvIndirectBehavior*>(net.behavior(self));
   // Two node-disjoint chains origin -> a -> b -> self, all inside
   // nbd((12,10)).
-  b->on_receive(ctx,
-                {{11, 10}, make_heard({{13, 10}, {11, 10}}, origin, 1)});
-  b->on_round_end(ctx);
-  EXPECT_EQ(b->determinations(), 0);  // one chain < t+1 = 2
-  b->on_receive(ctx,
-                {{11, 11}, make_heard({{13, 11}, {11, 11}}, origin, 1)});
-  b->on_round_end(ctx);
-  EXPECT_EQ(b->determinations(), 1);
+  node.deliver({11, 10}, make_heard({{13, 10}, {11, 10}}, origin, 1));
+  node.end_round();
+  EXPECT_FALSE(node.determined(origin));  // one chain < t+1 = 2
+  node.deliver({11, 11}, make_heard({{13, 11}, {11, 11}}, origin, 1));
+  node.end_round();
+  EXPECT_TRUE(node.determined(origin));
 }
 
 TEST(BvIndirect, BehaviorUnitConflictingChainsDoNotCount) {
-  const Torus torus(20, 20);
-  const std::int64_t t = 1;
-  RadioNetwork net(torus, 2, Metric::kLInf, 1);
-  for (const Coord c : torus.all_coords()) {
-    net.set_behavior(c, std::make_unique<BvIndirectBehavior>(
-                            ProtocolParams{t, {0, 0}}, torus, 2,
-                            Metric::kLInf, RelayMode::kFlood));
-  }
-  const Coord self{10, 10};
+  UnitNode node(1);
   const Coord origin{14, 10};
-  NodeContext ctx(net, self);
-  auto* b = dynamic_cast<BvIndirectBehavior*>(net.behavior(self));
   // Two chains sharing the intermediate (13,10): conflict, still < t+1.
-  b->on_receive(ctx,
-                {{11, 10}, make_heard({{13, 10}, {11, 10}}, origin, 1)});
-  b->on_receive(ctx,
-                {{11, 11}, make_heard({{13, 10}, {11, 11}}, origin, 1)});
-  b->on_round_end(ctx);
-  EXPECT_EQ(b->determinations(), 0);
+  node.deliver({11, 10}, make_heard({{13, 10}, {11, 10}}, origin, 1));
+  node.deliver({11, 11}, make_heard({{13, 10}, {11, 11}}, origin, 1));
+  node.end_round();
+  EXPECT_FALSE(node.determined(origin));
 }
 
 TEST(BvIndirect, RadiusGuardRejectsUnsupportedRadii) {
@@ -207,28 +207,31 @@ TEST(BvIndirect, RadiusGuardRejectsUnsupportedRadii) {
   // fits a CenterSet (L-inf r <= 7, L2 r <= 9); anything else is rejected
   // at construction rather than run on a slower second engine.
   const ProtocolParams params{1, {0, 0}};
+  const auto make = [&](const Torus& torus, std::int32_t r, Metric m,
+                        RelayMode mode) {
+    return BvIndirectPool(params, torus, r, m, mode, 1);
+  };
   for (const RelayMode mode : {RelayMode::kFlood, RelayMode::kEarmarked}) {
     const Torus torus(8 * 7 + 4, 8 * 7 + 4);
-    EXPECT_NO_THROW(BvIndirectBehavior(params, torus, 7, Metric::kLInf, mode));
+    EXPECT_NO_THROW(make(torus, 7, Metric::kLInf, mode));
   }
   {
     const Torus torus(8 * 9 + 4, 8 * 9 + 4);
-    EXPECT_NO_THROW(BvIndirectBehavior(params, torus, 9, Metric::kL2,
-                                       RelayMode::kFlood));
-    EXPECT_THROW(BvIndirectBehavior(params, torus, 10, Metric::kL2,
-                                    RelayMode::kFlood),
+    EXPECT_NO_THROW(make(torus, 9, Metric::kL2, RelayMode::kFlood));
+    EXPECT_THROW(make(torus, 10, Metric::kL2, RelayMode::kFlood),
+                 std::invalid_argument);
+    // Earmarked relays follow L-inf path families only.
+    EXPECT_THROW(make(torus, 2, Metric::kL2, RelayMode::kEarmarked),
                  std::invalid_argument);
   }
   for (const RelayMode mode : {RelayMode::kFlood, RelayMode::kEarmarked}) {
     const Torus torus(8 * 8 + 4, 8 * 8 + 4);
-    EXPECT_THROW(BvIndirectBehavior(params, torus, 8, Metric::kLInf, mode),
-                 std::invalid_argument);
+    EXPECT_THROW(make(torus, 8, Metric::kLInf, mode), std::invalid_argument);
   }
   {
     const Torus torus(12, 12);
-    EXPECT_THROW(
-        BvIndirectBehavior(params, torus, 0, Metric::kLInf, RelayMode::kFlood),
-        std::invalid_argument);
+    EXPECT_THROW(make(torus, 0, Metric::kLInf, RelayMode::kFlood),
+                 std::invalid_argument);
   }
 }
 

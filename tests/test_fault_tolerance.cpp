@@ -11,7 +11,6 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -52,13 +51,6 @@ std::filesystem::path temp_path(const std::string& name) {
   const auto path = std::filesystem::temp_directory_path() / name;
   std::filesystem::remove(path);
   return path;
-}
-
-std::string read_file(const std::filesystem::path& path) {
-  std::ifstream is(path, std::ios::binary);
-  std::ostringstream os;
-  os << is.rdbuf();
-  return os.str();
 }
 
 void write_file(const std::filesystem::path& path, const std::string& body) {

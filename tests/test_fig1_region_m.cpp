@@ -9,37 +9,33 @@
 #include "radiobcast/core/analysis.h"
 #include "radiobcast/net/network.h"
 #include "radiobcast/paths/construction.h"
-#include "radiobcast/protocols/bv_indirect.h"
-#include "radiobcast/protocols/common.h"
 #include "radiobcast/protocols/pool.h"
 #include "radiobcast/protocols/source.h"
 
 namespace rbcast {
 namespace {
 
-/// Runs a fault-free broadcast with the given protocol on a torus big enough
-/// for the (a,b)=(center) frame, returning the network for inspection. The
-/// full protocol runs as per-node behaviors; the two-hop protocol
-/// (mode == nullptr) as one pool over every honest node, as run_simulation
-/// installs it.
-RadioNetwork run_fault_free(std::int32_t r, std::int64_t t,
-                            const RelayMode* mode) {
+/// Runs a fault-free broadcast with the full protocol (earmarked relays) or
+/// the two-hop protocol on a torus big enough for the (a,b)=(center) frame,
+/// returning the network for inspection. Either runs as one pool over every
+/// honest node, as run_simulation installs it.
+RadioNetwork run_fault_free(std::int32_t r, std::int64_t t, bool four_hop) {
   const std::int32_t side = 8 * r + 4;
   Torus torus(side, side);
   RadioNetwork net(torus, r, Metric::kLInf, /*seed=*/1);
   const Coord source{0, 0};
   ProtocolParams params{t, source};
   params.track_after_commit = true;  // observe the full determination set
-  if (mode == nullptr) {
+  if (four_hop) {
+    net.set_pool(std::make_unique<BvIndirectPool>(
+        params, torus, r, Metric::kLInf, RelayMode::kEarmarked));
+  } else {
     net.set_pool(std::make_unique<BvTwoHopPool>(params, torus, r,
                                                 Metric::kLInf));
   }
   for (const Coord c : torus.all_coords()) {
     if (c == source) {
       net.set_behavior(c, std::make_unique<SourceBehavior>(1));
-    } else if (mode != nullptr) {
-      net.set_behavior(c, std::make_unique<BvIndirectBehavior>(
-                              params, torus, r, Metric::kLInf, *mode));
     } else {
       net.assign_to_pool(c);
     }
@@ -52,23 +48,23 @@ RadioNetwork run_fault_free(std::int32_t r, std::int64_t t,
 TEST(Fig1RegionM, CornerDeciderDeterminesAllOfM4Hop) {
   const std::int32_t r = 2;
   const std::int64_t t = byz_linf_achievable_max(r);
-  const RelayMode mode = RelayMode::kEarmarked;
-  auto net = run_fault_free(r, t, &mode);
+  auto net = run_fault_free(r, t, /*four_hop=*/true);
   const Torus& torus = net.torus();
 
   // Frame: neighborhood center (a,b), decider P at the pnbd corner.
   const Coord ab{10, 10};
   const Coord p = torus.wrap(Coord{ab.x - r, ab.y + r + 1});
-  const auto* decider = dynamic_cast<const BvIndirectBehavior*>(net.behavior(p));
-  ASSERT_NE(decider, nullptr);
-  EXPECT_TRUE(decider->committed_value().has_value());
+  const auto* pool = dynamic_cast<const BvIndirectPool*>(net.pool());
+  ASSERT_NE(pool, nullptr);
+  const std::int32_t decider = torus.index(p);
+  EXPECT_TRUE(pool->committed_value(decider).has_value());
 
   // Every node of region M (translated to the ab frame) is determined.
   std::int64_t determined = 0;
   for (const Coord m_rel : region_M(r)) {
     const Coord m = torus.wrap(ab + (m_rel - Coord{0, 0}));
-    if (decider->has_determined(m, 1)) ++determined;
-    EXPECT_TRUE(decider->has_determined(m, 1))
+    if (pool->has_determined(decider, m, 1)) ++determined;
+    EXPECT_TRUE(pool->has_determined(decider, m, 1))
         << "M node " << to_string(m_rel) << " undetermined";
   }
   EXPECT_EQ(determined, r_2r_plus_1(r));
@@ -84,7 +80,7 @@ TEST(Fig1RegionM, CornerDeciderDeterminesAllOfMTwoHop) {
   // within a single neighborhood on the fault-free grid.
   const std::int32_t r = 2;
   const std::int64_t t = byz_linf_achievable_max(r);
-  auto net = run_fault_free(r, t, nullptr);
+  auto net = run_fault_free(r, t, /*four_hop=*/false);
   const Torus& torus = net.torus();
   const Coord ab{10, 10};
   const Coord p = torus.wrap(Coord{ab.x - r, ab.y + r + 1});

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "radiobcast/core/simulation.h"
-#include "radiobcast/protocols/bv_indirect.h"
 #include "radiobcast/protocols/byzantine.h"
 #include "radiobcast/protocols/pool.h"
 #include "radiobcast/protocols/source.h"
@@ -176,11 +175,15 @@ TEST(IgnoreMask, BvTwoHopPoolIgnoresHeardsOnCommit) {
 
 void expect_bv_indirect_inert(RelayMode mode) {
   RecordingBackend backend;
-  BvIndirectBehavior b(ProtocolParams{1, kSource}, kTorus, kR, Metric::kLInf,
-                       mode);
+  auto pool = std::make_unique<BvIndirectPool>(
+      ProtocolParams{1, kSource}, kTorus, kR, Metric::kLInf, mode, 1);
+  const BvIndirectPool* state = pool.get();
+  PoolSlotBehavior b(std::move(pool));
   commit_via_source(b, backend);
   expect_inert(b, backend, MessageClasses::heard_from(3),
-               [&](Coord o, std::uint8_t v) { return b.has_determined(o, v); });
+               [&](Coord o, std::uint8_t v) {
+                 return state->has_determined(0, o, v);
+               });
 }
 
 TEST(IgnoreMask, BvIndirectFloodIgnoresFullChainsOnCommit) {
@@ -202,8 +205,8 @@ TEST(IgnoreMask, TrackAfterCommitKeepsEveryHeard) {
   commit_via_source(two_hop, two_hop_backend);
   EXPECT_EQ(two_hop_backend.ignored, 0);
   RecordingBackend indirect_backend;
-  BvIndirectBehavior indirect(params, kTorus, kR, Metric::kLInf,
-                              RelayMode::kFlood);
+  PoolSlotBehavior indirect(std::make_unique<BvIndirectPool>(
+      params, kTorus, kR, Metric::kLInf, RelayMode::kFlood, 1));
   commit_via_source(indirect, indirect_backend);
   EXPECT_EQ(indirect_backend.ignored, 0);
 }

@@ -4,7 +4,8 @@
 // crash-at-round adversary drive a one-slot view of it per node
 // (PoolSlotBehavior, built by make_node_behavior). Both must produce EXACTLY
 // the same trial: same outcomes, same commit rounds, same traffic, same
-// deterministic counters — across protocols, adversaries and channel models.
+// deterministic counters — across all five protocols, adversaries and
+// channel models.
 // The golden SHA-256 suite pins the serialized bytes of the shared-pool run;
 // this suite pins the per-node run against it field by field.
 
@@ -12,23 +13,32 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "radiobcast/core/experiment.h"
 #include "radiobcast/core/simulation.h"
 #include "radiobcast/fault/fault_set.h"
 #include "radiobcast/grid/torus.h"
 #include "radiobcast/net/jamming.h"
 #include "radiobcast/net/network.h"
+#include "radiobcast/obs/trace.h"
 #include "radiobcast/protocols/pool.h"
 
 namespace rbcast {
 namespace {
 
 /// run_simulation's trial with every node populated one by one through
-/// make_node_behavior — no shared pool — scored the same way.
-SimResult run_per_node(const SimConfig& cfg, const FaultSet& faults) {
+/// make_node_behavior — no shared pool — scored the same way, and traced
+/// into `trace` if given.
+SimResult run_per_node(const SimConfig& cfg, const FaultSet& faults,
+                       RoundTrace* trace) {
   const Torus torus(cfg.width, cfg.height);
   const Coord source = torus.wrap(cfg.source);
   RadioNetwork net(torus, cfg.r, cfg.metric, cfg.seed);
+  if (trace != nullptr) {
+    trace->set_enabled(true);
+    net.set_trace(trace);
+  }
   if (cfg.adversary == AdversaryKind::kSpoofing) net.allow_spoofing(true);
   if (cfg.adversary == AdversaryKind::kJamming) {
     net.set_channel(std::make_unique<JammingChannel>(
@@ -92,11 +102,14 @@ SimResult run_per_node(const SimConfig& cfg, const FaultSet& faults) {
   return result;
 }
 
-/// Runs the same (config, faults) both ways and compares the results.
+/// Runs the same (config, faults) both ways and compares the results. The
+/// optional sinks receive the shared-pool and the per-node trace.
 void expect_identical(const SimConfig& cfg, const FaultSet& faults,
-                      const std::string& tag) {
-  const SimResult a = run_simulation(cfg, faults);
-  const SimResult b = run_per_node(cfg, faults);
+                      const std::string& tag,
+                      RoundTrace* shared_trace = nullptr,
+                      RoundTrace* per_node_trace = nullptr) {
+  const SimResult a = run_simulation(cfg, faults, ObsOptions{shared_trace});
+  const SimResult b = run_per_node(cfg, faults, per_node_trace);
   EXPECT_EQ(a.honest_nodes, b.honest_nodes) << tag;
   EXPECT_EQ(a.correct_commits, b.correct_commits) << tag;
   EXPECT_EQ(a.wrong_commits, b.wrong_commits) << tag;
@@ -173,12 +186,61 @@ TEST(PoolEquivalence, BvTwoHopRadiusTwoTrackAfterCommit) {
   expect_identical(cfg, two_faults(torus), "bv-2hop/r2");
 }
 
+TEST(PoolEquivalence, BvIndirectMatrix) {
+  for (const ProtocolKind protocol : {ProtocolKind::kBvIndirectFlood,
+                                      ProtocolKind::kBvIndirectEarmarked}) {
+    for (const AdversaryKind adversary :
+         {AdversaryKind::kSilent, AdversaryKind::kLying}) {
+      const SimConfig cfg = base_config(protocol, adversary);
+      const Torus torus(cfg.width, cfg.height);
+      expect_identical(cfg, two_faults(torus),
+                       std::string(to_string(protocol)) + "/" +
+                           to_string(adversary));
+    }
+  }
+}
+
+/// Runs one crash-at-round trial both ways and compares the traces event by
+/// event, on top of expect_identical's fields.
+void expect_identical_traces(ProtocolKind protocol) {
+  SimConfig cfg = base_config(protocol, AdversaryKind::kCrashAtRound);
+  cfg.crash_round = 4;
+  cfg.seed = 2;
+  const Torus torus(cfg.width, cfg.height);
+  PlacementConfig placement;
+  placement.kind = PlacementKind::kRandomBounded;
+  Rng rng(2);
+  const FaultSet faults = make_faults(placement, torus, cfg.r, cfg.metric,
+                                      cfg.t, cfg.source, rng);
+  const std::string tag = std::string(to_string(protocol)) + "/crash";
+  RoundTrace shared(1 << 18);
+  RoundTrace per_node(1 << 18);
+  expect_identical(cfg, faults, tag, &shared, &per_node);
+  ASSERT_EQ(shared.dropped(), 0u) << tag;
+  ASSERT_EQ(per_node.dropped(), 0u) << tag;
+  const std::vector<TraceEvent> a = shared.events();
+  const std::vector<TraceEvent> b = per_node.events();
+  ASSERT_EQ(a.size(), b.size()) << tag;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(to_jsonl(a[i]), to_jsonl(b[i])) << tag << ", event " << i;
+  }
+}
+
+TEST(PoolEquivalence, BvIndirectCrashAtRoundTraces) {
+  // A crash-at-round node wraps a one-slot bv-4hop pool, and bv-4hop
+  // commits at round end. The shared pool's nodes must therefore share one
+  // node-index-ordered round-end sweep with the behaviors: any other order
+  // moves commits, and the COMMITTEDs they queue, against the per-node run.
+  expect_identical_traces(ProtocolKind::kBvIndirectFlood);
+  expect_identical_traces(ProtocolKind::kBvIndirectEarmarked);
+}
+
 TEST(PoolEquivalence, LossyChannelWithRetransmissions) {
   // The lossy slow path consumes channel randomness per delivery; identical
   // results prove both hosts receive callbacks in exactly the same order.
   for (const ProtocolKind protocol :
        {ProtocolKind::kCrashFlood, ProtocolKind::kCpa,
-        ProtocolKind::kBvTwoHop}) {
+        ProtocolKind::kBvTwoHop, ProtocolKind::kBvIndirectFlood}) {
     SimConfig cfg = base_config(protocol, AdversaryKind::kSilent);
     cfg.loss_p = 0.25;
     cfg.retransmissions = 2;
