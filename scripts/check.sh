@@ -34,12 +34,12 @@ cmake --build "${build}" -j
 jobs="$(nproc 2>/dev/null || echo 2)"
 if [[ "${quick}" -eq 1 ]]; then
   # The fast representative subset: round engine and its dispatch contract,
-  # simulation runner, campaign engine, observability layer, lying
-  # adversary, fault placement, the allocation bounds, the ignore
-  # declarations and the pool slot-view equivalence. (~10% of full-suite
-  # wall time.)
+  # torus arithmetic, simulation runner, campaign engine, observability
+  # layer, lying adversary, fault placement, the allocation bounds, the
+  # ignore declarations and the pool slot-view equivalence. (~10% of
+  # full-suite wall time.)
   ctest --test-dir "${build}" --output-on-failure -j "${jobs}" \
-    -R '^(Network|Simulation|ThreadPool|Campaign|Counters|RoundTrace|PhaseTimers|Lying|Placement|AllocFreeDelivery|IgnoreMask|PoolEquivalence)'
+    -R '^(Network|Torus|Simulation|ThreadPool|Campaign|Counters|RoundTrace|PhaseTimers|Lying|Placement|AllocFreeDelivery|IgnoreMask|PoolEquivalence)'
 else
   ctest --test-dir "${build}" --output-on-failure -j "${jobs}"
 fi

@@ -70,8 +70,16 @@ class Torus {
   std::vector<Coord> all_coords() const;
 
  private:
-  // Mathematical modulus (result in [0, m)).
+  // Mathematical modulus (result in [0, m)). Hot-path coordinates are
+  // canonical or at most one period out (a node plus a neighbor offset), so
+  // those skip the division; the result is the same for every input.
   static std::int32_t mod_floor(std::int32_t v, std::int32_t m) {
+    if (v >= 0) {
+      if (v < m) return v;
+      if (v - m < m) return v - m;
+    } else if (v >= -m) {
+      return v + m;
+    }
     const std::int32_t r = v % m;
     return r < 0 ? r + m : r;
   }

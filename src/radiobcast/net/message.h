@@ -105,15 +105,25 @@ class MessageClasses {
     return MessageClasses(
         static_cast<std::uint8_t>(kAllBits & ~((2u << min_relayers) - 1)));
   }
+  /// HEARDs with exactly `relayers` relayers
+  /// (relayers <= RelayerChain::kCapacity).
+  static constexpr MessageClasses heard_with(std::size_t relayers) {
+    return MessageClasses(static_cast<std::uint8_t>(2u << relayers));
+  }
   /// The one class `msg` belongs to.
   static MessageClasses of(const Message& msg) {
-    return MessageClasses(static_cast<std::uint8_t>(
-        msg.type == MsgType::kCommitted ? 1u : 2u << msg.relayers.size()));
+    return msg.type == MsgType::kCommitted ? MessageClasses(1)
+                                           : heard_with(msg.relayers.size());
   }
 
   /// One bit per class: bit 0 is COMMITTED, bit 1 + k a HEARD with k
   /// relayers.
   constexpr std::uint8_t bits() const { return bits_; }
+
+  friend constexpr MessageClasses operator|(MessageClasses a,
+                                            MessageClasses b) {
+    return MessageClasses(static_cast<std::uint8_t>(a.bits_ | b.bits_));
+  }
 
  private:
   static constexpr std::uint8_t kAllBits =

@@ -176,9 +176,14 @@ void RadioNetwork::start() {
   if (started_) throw std::logic_error("RadioNetwork::start called twice");
   sweep_nodes_.clear();
   const bool pool_round_end = pool_ != nullptr && pool_->has_round_end();
+  const auto pool_ignored = static_cast<std::uint8_t>(
+      pool_ != nullptr ? pool_->ignored().bits() << kIgnoreShift : 0);
   for (std::int64_t i = 0; i < torus_.node_count(); ++i) {
-    if (node_flags_[static_cast<std::size_t>(i)] & kPoolManaged) {
-      // No start work; round-end work only if the pool asks for it.
+    std::uint8_t& flags = node_flags_[static_cast<std::size_t>(i)];
+    if (flags & kPoolManaged) {
+      // The only start work is the pool's standing mask; round-end work
+      // only if the pool asks for it.
+      flags |= pool_ignored;
       if (pool_round_end) sweep_nodes_.push_back(static_cast<std::int32_t>(i));
       continue;
     }

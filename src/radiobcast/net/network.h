@@ -101,8 +101,9 @@ class RadioNetwork final : public BroadcastBackend {
   std::optional<std::uint8_t> committed_value_of(Coord c) const;
   std::optional<std::int64_t> commit_round_of(Coord c) const;
 
-  /// Calls on_start on every behavior node (node-index order). Must be
-  /// called exactly once, before the first run_round().
+  /// Calls on_start on every behavior node (node-index order) and sets the
+  /// pool's standing classes (NodePool::ignored) in each pool node's ignore
+  /// mask. Must be called exactly once, before the first run_round().
   void start();
 
   /// Delivers everything sent in the previous round, then runs on_round_end

@@ -23,8 +23,9 @@
 namespace rbcast {
 
 /// Flat multi-node protocol state. Callbacks mirror NodeBehavior's, with
-/// the dense node index added so implementations address plain arrays. Pools
-/// have no start work. Round-end work is opt-in: the network sweeps a pool's
+/// the dense node index added so implementations address plain arrays. A
+/// pool's only start work is its standing ignore mask (ignored()), which the
+/// host installs. Round-end work is opt-in: the network sweeps a pool's
 /// nodes at round end only if has_round_end() says so, so message-driven
 /// pools cost nothing outside deliveries.
 class NodePool {
@@ -34,6 +35,12 @@ class NodePool {
   /// Called for each transmission heard by a managed node.
   virtual void on_receive(NodeContext& ctx, std::int32_t node,
                           const Envelope& env) = 0;
+
+  /// The message classes on_receive drops before touching state, for every
+  /// node and from the start: the standing part of NodeContext::ignore's
+  /// declaration. RadioNetwork::start sets them in each pool node's mask and
+  /// PoolSlotBehavior declares them in on_start. Default: none.
+  virtual MessageClasses ignored() const { return {}; }
 
   /// Called once per round for each managed node, after all of the round's
   /// deliveries, if has_round_end(). The network interleaves these calls

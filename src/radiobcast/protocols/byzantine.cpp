@@ -1,21 +1,11 @@
 #include "radiobcast/protocols/byzantine.h"
 
+#include <stdexcept>
+#include <string>
+
 #include "radiobcast/grid/neighborhood.h"
 
-#include <algorithm>
-
 namespace rbcast {
-
-std::uint64_t FlatKeyTraits<LieKey>::fold(const LieKey& key) {
-  auto pack = [](Coord c) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.x))
-            << 32) |
-           static_cast<std::uint32_t>(c.y);
-  };
-  std::uint64_t h = pack(key.origin) ^ key.depth;
-  for (const Coord c : key.relayers) h = det_mix64(h) ^ pack(c);
-  return h;
-}
 
 namespace {
 
@@ -23,34 +13,47 @@ namespace {
 /// extends only shorter ones.
 constexpr std::size_t kMaxRelayers = 3;
 
+/// Width of each node index in a lie key: three fit in 63 bits, so no key
+/// is PackedKeySet's empty sentinel.
+constexpr int kLieIndexBits = 21;
+
 }  // namespace
 
 void LyingBehavior::on_start(NodeContext& ctx) {
+  const std::int64_t nodes = ctx.torus().node_count();
+  if (nodes >= (std::int64_t{1} << kLieIndexBits)) {
+    throw std::invalid_argument("lying adversary: torus of " +
+                                std::to_string(nodes) +
+                                " nodes; supported: under 2^21 nodes");
+  }
   ctx.broadcast(make_committed(ctx.self(), wrong_value_));
   ctx.ignore(MessageClasses::heard_from(kMaxRelayers));  // see the depth cap
 }
 
 void LyingBehavior::on_receive(NodeContext& ctx, const Envelope& env) {
   // A COMMITTED yields the claim that its sender committed the wrong value;
-  // a HEARD yields the report relayed with its value flipped. The key comes
-  // straight from the envelope, and the lie is built only when the key is
-  // new: most deliveries repeat a lie this liar already sent.
-  LieKey key;
-  if (env.msg.type == MsgType::kCommitted) {
-    key.origin = env.sender;
-  } else {
+  // a HEARD yields the report relayed with its value flipped: either way
+  // HEARD(relayers + [self], origin, wrong value), with no relayers for a
+  // COMMITTED. The key comes straight from the envelope, and the lie is
+  // built only when the key is new.
+  const bool committed = env.msg.type == MsgType::kCommitted;
+  const Coord origin = committed ? env.sender : env.msg.origin;
+  RelayerChain chain;
+  if (!committed) {
     // The depth cap keeps the volume finite.
     if (env.msg.relayers.size() >= kMaxRelayers) return;
-    key.origin = env.msg.origin;
-    key.depth = static_cast<std::uint8_t>(env.msg.relayers.size());
-    std::copy(env.msg.relayers.begin(), env.msg.relayers.end(),
-              key.relayers.begin());
+    chain = env.msg.relayers;
+  }
+  const Torus& torus = ctx.torus();
+  std::uint64_t key = static_cast<std::uint32_t>(torus.index(origin));
+  int shift = kLieIndexBits;
+  for (const Coord c : chain) {
+    key |= static_cast<std::uint64_t>(torus.index(c) + 1) << shift;
+    shift += kLieIndexBits;
   }
   if (!sent_.insert(key)) return;
-  RelayerChain chain;
-  for (std::uint8_t i = 0; i < key.depth; ++i) chain.push_back(key.relayers[i]);
   chain.push_back(ctx.self());
-  ctx.broadcast(make_heard(chain, key.origin, wrong_value_));
+  ctx.broadcast(make_heard(chain, origin, wrong_value_));
 }
 
 void SpoofingBehavior::on_start(NodeContext& ctx) {

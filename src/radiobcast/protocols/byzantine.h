@@ -14,14 +14,13 @@
 //  * LyingBehavior    — commits to and propagates the wrong value, relays
 //                       every report with its value flipped, and claims that
 //                       every committer it hears committed the wrong value,
-//                       sending each distinct lie once. The safety-critical
-//                       corner: Theorem 2 predicts it can never cause an
-//                       honest wrong commit.
+//                       sending each distinct lie (up to wrap-around) once.
+//                       The safety-critical corner: Theorem 2 predicts it
+//                       can never cause an honest wrong commit.
 //  * CrashAtRound     — behaves honestly (delegating to an inner behavior)
 //                       until a given round, then goes permanently silent:
 //                       crash-stop mid-protocol.
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -39,25 +38,6 @@ class SilentBehavior final : public NodeBehavior {
   void on_receive(NodeContext&, const Envelope&) override {}
 };
 
-/// One lie of a LyingBehavior, keyed by the fields that vary between its
-/// lies. Every lie is HEARD(relayers[0..depth) + [liar], origin, wrong value):
-/// type, value and closing relayer are fixed per liar, so two lies are equal
-/// iff their keys are, coordinate for coordinate.
-struct LieKey {
-  std::uint8_t depth = 0;           // relayers the lie extends: 0, 1 or 2
-  Coord origin{};
-  std::array<Coord, 2> relayers{};  // the first `depth`; the rest stay {0, 0}
-
-  friend bool operator==(const LieKey&, const LieKey&) = default;
-};
-
-/// No lie extends more than two relayers, so depth 0xFF marks a free slot.
-template <>
-struct FlatKeyTraits<LieKey> {
-  static constexpr LieKey empty() { return LieKey{0xFF}; }
-  static std::uint64_t fold(const LieKey& key);
-};
-
 class LyingBehavior final : public NodeBehavior {
  public:
   /// `wrong_value` is the value the adversary pushes (the complement of the
@@ -65,15 +45,21 @@ class LyingBehavior final : public NodeBehavior {
   explicit LyingBehavior(std::uint8_t wrong_value)
       : wrong_value_(wrong_value) {}
 
+  /// Throws std::invalid_argument on a torus of 2^21 or more nodes, whose
+  /// node indices do not fit the lie key.
   void on_start(NodeContext& ctx) override;
   void on_receive(NodeContext& ctx, const Envelope& env) override;
 
  private:
   std::uint8_t wrong_value_;
-  // Every lie sent so far: bounds the liar's volume, not its honesty. A
-  // delivery costs one fold and one probe; the table is never iterated, so
+  // Every lie sent so far: bounds the liar's volume, not its honesty. Every
+  // lie is HEARD(relayers + [liar], origin, wrong value), so its key packs
+  // the canonical node index of the origin and of each of the 0-2 relayers
+  // it extends, 21 bits each; a relayer is stored as index + 1, so an absent
+  // one never equals node 0. Two lies share a key iff they are equal up to
+  // wrap-around. A delivery costs one probe; the table is never iterated, so
   // its layout cannot reach the output. Not counted in engine_bytes_peak.
-  FlatKeySet<LieKey> sent_;
+  PackedKeySet sent_;
 };
 
 /// Address-spoofing liar (Section X's negative control): impersonates its

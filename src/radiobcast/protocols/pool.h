@@ -69,33 +69,19 @@ class DenseBits {
   std::vector<std::uint64_t> words_;
 };
 
-/// Key policy of FlatKeySet: empty() marks a free slot, so no stored key may
-/// equal it, and fold() reduces a key to the 64 bits det_mix64 spreads over
-/// the slots (equal keys must fold equally).
-template <class Key>
-struct FlatKeyTraits;
-
-/// Packed keys fold to themselves. No packing below may produce ~0ull — every
-/// one keeps its key bits well under 64.
-template <>
-struct FlatKeyTraits<std::uint64_t> {
-  static constexpr std::uint64_t empty() { return ~0ULL; }
-  static constexpr std::uint64_t fold(std::uint64_t key) { return key; }
-};
-
-/// Open-addressing set (linear probing, power-of-two capacity, grown at ~0.7
-/// load). Probes compare whole keys, so two keys that fold alike cost a probe
-/// step, never a false match. The growth schedule is a pure function of the
+/// Open-addressing set of packed uint64 keys (linear probing, power-of-two
+/// capacity, grown at ~0.7 load). Keys must never equal ~0ull (the empty
+/// sentinel): every packing leaves bit 63 clear (the widest, a liar's lie
+/// key, uses bits 0-62). The growth schedule is a pure function of the
 /// insertion sequence, so bytes() is deterministic across platforms.
-template <class Key>
-class FlatKeySet {
+class PackedKeySet {
  public:
-  FlatKeySet() : keys_(kInitialCapacity, Traits::empty()) {}
+  PackedKeySet() : keys_(kInitialCapacity, kEmpty) {}
 
   /// Inserts `key`; returns true iff it was not already present.
-  bool insert(const Key& key) {
+  bool insert(std::uint64_t key) {
     std::size_t i = slot_of(key);
-    while (keys_[i] != Traits::empty()) {
+    while (keys_[i] != kEmpty) {
       if (keys_[i] == key) return false;
       i = (i + 1) & (keys_.size() - 1);
     }
@@ -105,9 +91,9 @@ class FlatKeySet {
     return true;
   }
 
-  bool contains(const Key& key) const {
+  bool contains(std::uint64_t key) const {
     std::size_t i = slot_of(key);
-    while (keys_[i] != Traits::empty()) {
+    while (keys_[i] != kEmpty) {
       if (keys_[i] == key) return true;
       i = (i + 1) & (keys_.size() - 1);
     }
@@ -115,34 +101,30 @@ class FlatKeySet {
   }
 
   std::size_t size() const { return size_; }
-  std::uint64_t bytes() const { return keys_.size() * sizeof(Key); }
+  std::uint64_t bytes() const { return keys_.size() * sizeof(std::uint64_t); }
 
  private:
-  using Traits = FlatKeyTraits<Key>;
+  static constexpr std::uint64_t kEmpty = ~0ULL;
   static constexpr std::size_t kInitialCapacity = 16;
 
-  std::size_t slot_of(const Key& key) const {
-    return static_cast<std::size_t>(det_mix64(Traits::fold(key))) &
-           (keys_.size() - 1);
+  std::size_t slot_of(std::uint64_t key) const {
+    return static_cast<std::size_t>(det_mix64(key)) & (keys_.size() - 1);
   }
 
   void grow() {
-    std::vector<Key> old = std::move(keys_);
-    keys_.assign(old.size() * 2, Traits::empty());
-    for (const Key& key : old) {
-      if (key == Traits::empty()) continue;
+    std::vector<std::uint64_t> old = std::move(keys_);
+    keys_.assign(old.size() * 2, kEmpty);
+    for (const std::uint64_t key : old) {
+      if (key == kEmpty) continue;
       std::size_t i = slot_of(key);
-      while (keys_[i] != Traits::empty()) i = (i + 1) & (keys_.size() - 1);
+      while (keys_[i] != kEmpty) i = (i + 1) & (keys_.size() - 1);
       keys_[i] = key;
     }
   }
 
-  std::vector<Key> keys_;
+  std::vector<std::uint64_t> keys_;
   std::size_t size_ = 0;
 };
-
-/// The set of packed uint64 keys the pools store their relations in.
-using PackedKeySet = FlatKeySet<std::uint64_t>;
 
 /// Open-addressing map from packed uint64 keys to uint32 values, same scheme
 /// as PackedKeySet. slot() inserts a zero-initialized value on first access
@@ -269,6 +251,10 @@ class CrashFloodPool final : public NodePool {
 
   void on_receive(NodeContext& ctx, std::int32_t node,
                   const Envelope& env) override;
+  /// Every HEARD: only COMMITTEDs carry the value.
+  MessageClasses ignored() const override {
+    return MessageClasses::heard_from(0);
+  }
 
   std::optional<std::uint8_t> committed_value(std::int32_t node) const override {
     return state_.committed_value(node);
@@ -308,6 +294,10 @@ class CpaPool final : public NodePool {
 
   void on_receive(NodeContext& ctx, std::int32_t node,
                   const Envelope& env) override;
+  /// Every HEARD: CPA counts COMMITTED claims only.
+  MessageClasses ignored() const override {
+    return MessageClasses::heard_from(0);
+  }
 
   std::optional<std::uint8_t> committed_value(std::int32_t node) const override {
     return state_.committed_value(node);
@@ -485,6 +475,11 @@ class BvTwoHopPool final : public BvPool {
       handle_heard(ctx, node, env);
     }
   }
+  /// Every HEARD but the one-relayer reports: handle_heard drops the rest
+  /// first thing.
+  MessageClasses ignored() const override {
+    return MessageClasses::heard_with(0) | MessageClasses::heard_from(2);
+  }
   std::uint64_t state_bytes() const override;
 
  private:
@@ -624,6 +619,7 @@ class PoolSlotBehavior final : public NodeBehavior {
   explicit PoolSlotBehavior(std::unique_ptr<NodePool> pool)
       : pool_(std::move(pool)) {}
 
+  void on_start(NodeContext& ctx) override { ctx.ignore(pool_->ignored()); }
   void on_receive(NodeContext& ctx, const Envelope& env) override {
     pool_->on_receive(ctx, 0, env);
   }

@@ -110,6 +110,8 @@ TEST(Lying, CapsRelayDepth) {
 /// A backend that records what its node queues, in order.
 class QueueRecorder final : public BroadcastBackend {
  public:
+  explicit QueueRecorder(Torus torus = Torus(12, 12)) : torus_(torus) {}
+
   const Torus& torus() const override { return torus_; }
   std::int32_t radius() const override { return 1; }
   Metric metric() const override { return Metric::kLInf; }
@@ -124,7 +126,7 @@ class QueueRecorder final : public BroadcastBackend {
   std::vector<Message> queued;
 
  private:
-  Torus torus_{12, 12};
+  Torus torus_;
   Rng rng_{1};
 };
 
@@ -164,6 +166,72 @@ TEST(Lying, SendsEachDistinctLieOnce) {
     EXPECT_EQ(backend.queued[i], expected[i])
         << i << ": " << to_string(backend.queued[i]);
   }
+}
+
+TEST(Lying, KeyIsExactAtIndexBoundaries) {
+  // 2047x1024 is just under 2^21 nodes, so the largest index fills a lie
+  // key's 21-bit field. Each pair below would collide under a key that
+  // packed an absent relayer like node 0, kept only some of a chain's
+  // relayers, or used 20-bit fields (the largest index, or the largest plus
+  // one, would carry into the next field).
+  const Torus torus(2047, 1024);
+  QueueRecorder backend(torus);
+  const Coord liar{5, 5};
+  NodeContext ctx(backend, liar);
+  LyingBehavior b(0);
+  b.on_start(ctx);
+  const auto at = [&](std::int64_t index) {
+    return torus.coord(static_cast<std::int32_t>(index));
+  };
+  const std::int64_t top = torus.node_count() - 1;
+  const Coord zero = at(0);
+  const Coord last = at(top);
+  const Coord below = at(top - (1 << 20));
+  const Coord o{7, 9};
+  const std::vector<Message> lies = {
+      make_heard({}, o, 1),               // no relayer
+      make_heard({zero}, o, 1),           // node 0 as the relayer
+      make_heard({zero, last}, o, 1),     // a chain and its prefix (above)
+      make_heard({last}, o, 1),           // the chain's last hop alone
+      make_heard({last, zero}, o, 1),     // node 0 as the second relayer
+      make_heard({below, zero}, o, 1),    // {last} under 20-bit fields
+      make_heard({}, last, 1),            // the largest origin
+      make_heard({zero}, below, 1),       // ... and its 20-bit alias
+      make_heard({last, last}, last, 1),  // every field at its largest
+      make_heard({}, zero, 1),            // the all-zero key
+  };
+  const Coord sender{5, 6};
+  for (const Message& m : lies) b.on_receive(ctx, {sender, m});
+  ASSERT_EQ(backend.queued.size(), lies.size() + 1);
+  for (std::size_t i = 0; i < lies.size(); ++i) {
+    RelayerChain chain = lies[i].relayers;
+    chain.push_back(liar);
+    EXPECT_EQ(backend.queued[i + 1], make_heard(chain, lies[i].origin, 0))
+        << i << ": " << to_string(backend.queued[i + 1]);
+  }
+  // The same lies with non-canonical coordinates are repeats: a lie is
+  // identified up to wrap-around.
+  const auto shift = [&](Coord c, int k) {
+    return k % 2 == 0 ? Coord{c.x + torus.width(), c.y}
+                      : Coord{c.x, c.y - torus.height()};
+  };
+  for (std::size_t i = 0; i < lies.size(); ++i) {
+    RelayerChain raw;
+    for (const Coord c : lies[i].relayers) {
+      raw.push_back(shift(c, static_cast<int>(i + raw.size())));
+    }
+    b.on_receive(ctx, {sender, make_heard(raw, shift(lies[i].origin, 1), 1)});
+  }
+  EXPECT_EQ(backend.queued.size(), lies.size() + 1);
+}
+
+TEST(Lying, ThrowsOnTorusOf2To21Nodes) {
+  // 2048x1024 = 2^21 nodes: the largest index no longer fits the lie key.
+  QueueRecorder backend(Torus(2048, 1024));
+  NodeContext ctx(backend, {5, 5});
+  LyingBehavior b(0);
+  EXPECT_THROW(b.on_start(ctx), std::invalid_argument);
+  EXPECT_TRUE(backend.queued.empty());
 }
 
 TEST(CrashAtRound, HonestUntilCrash) {

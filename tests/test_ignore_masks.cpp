@@ -141,6 +141,72 @@ TEST(IgnoreMask, ClassesPartitionMessages) {
   EXPECT_EQ(MessageClasses::heard_from(3).bits(),
             MessageClasses::of(all[4].msg).bits() |
                 MessageClasses::of(all[5].msg).bits());
+  for (std::size_t k = 0; k < all.size() - 1; ++k) {
+    EXPECT_EQ(MessageClasses::heard_with(k).bits(),
+              MessageClasses::of(all[k + 1].msg).bits());
+  }
+  EXPECT_EQ((MessageClasses::heard_with(0) | MessageClasses::heard_from(2) |
+             MessageClasses::heard_with(1))
+                .bits(),
+            MessageClasses::heard_from(0).bits());
+}
+
+/// Starts `b`, a fresh one-slot view of `pool`: it must declare exactly the
+/// pool's standing classes, which must be `expected`, and queue nothing.
+void start_slot(NodeBehavior& b, const NodePool& pool,
+                RecordingBackend& backend, MessageClasses expected) {
+  EXPECT_EQ(pool.ignored().bits(), expected.bits());
+  NodeContext ctx(backend, kSelf);
+  b.on_start(ctx);
+  EXPECT_EQ(backend.ignored, pool.ignored().bits());
+  EXPECT_TRUE(backend.queued.empty());
+}
+
+TEST(IgnoreMask, CrashFloodPoolIgnoresHeardsFromStart) {
+  RecordingBackend backend;
+  auto pool = std::make_unique<CrashFloodPool>(ProtocolParams{1, kSource},
+                                               kTorus, 1);
+  const NodePool& standing = *pool;
+  PoolSlotBehavior b(std::move(pool));
+  start_slot(b, standing, backend, MessageClasses::heard_from(0));
+  expect_inert(b, backend, MessageClasses::heard_from(0));
+}
+
+TEST(IgnoreMask, CpaPoolIgnoresHeardsFromStart) {
+  RecordingBackend backend;
+  auto pool =
+      std::make_unique<CpaPool>(ProtocolParams{1, kSource}, kTorus, 1);
+  const NodePool& standing = *pool;
+  PoolSlotBehavior b(std::move(pool));
+  start_slot(b, standing, backend, MessageClasses::heard_from(0));
+  expect_inert(b, backend, MessageClasses::heard_from(0));
+}
+
+TEST(IgnoreMask, BvTwoHopPoolIgnoresAllButOneRelayerHeardsFromStart) {
+  RecordingBackend backend;
+  auto pool = std::make_unique<BvTwoHopPool>(ProtocolParams{1, kSource},
+                                             kTorus, kR, Metric::kLInf, 1);
+  const BvTwoHopPool* state = pool.get();
+  PoolSlotBehavior b(std::move(pool));
+  const MessageClasses expected =
+      MessageClasses::heard_with(0) | MessageClasses::heard_from(2);
+  start_slot(b, *state, backend, expected);
+  expect_inert(b, backend, expected, [&](Coord o, std::uint8_t v) {
+    return state->has_determined(0, o, v);
+  });
+}
+
+TEST(IgnoreMask, BvIndirectPoolDeclaresNothingAtStart) {
+  // The handler drops HEARDs with no relayer or four unread, but no node
+  // sends those, so bv-4hop declares nothing.
+  for (const RelayMode mode : {RelayMode::kFlood, RelayMode::kEarmarked}) {
+    RecordingBackend backend;
+    auto pool = std::make_unique<BvIndirectPool>(
+        ProtocolParams{1, kSource}, kTorus, kR, Metric::kLInf, mode, 1);
+    const NodePool& standing = *pool;
+    PoolSlotBehavior b(std::move(pool));
+    start_slot(b, standing, backend, MessageClasses{});
+  }
 }
 
 TEST(IgnoreMask, CrashFloodPoolIgnoresAllOnCommit) {

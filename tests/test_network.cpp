@@ -36,6 +36,29 @@ class Recorder : public NodeBehavior {
   MessageClasses ignored_;
 };
 
+/// A pool that records every message it is handed and declares `standing`
+/// ignored for all of its nodes.
+class RecordingPool final : public NodePool {
+ public:
+  explicit RecordingPool(MessageClasses standing) : standing_(standing) {}
+
+  void on_receive(NodeContext&, std::int32_t, const Envelope& env) override {
+    received.push_back(env.msg);
+  }
+  MessageClasses ignored() const override { return standing_; }
+  std::optional<std::uint8_t> committed_value(std::int32_t) const override {
+    return std::nullopt;
+  }
+  std::optional<std::int64_t> commit_round(std::int32_t) const override {
+    return std::nullopt;
+  }
+
+  std::vector<Message> received;
+
+ private:
+  MessageClasses standing_;
+};
+
 /// Re-broadcasts the first received message once (to test multi-round flow).
 class RelayOnce : public NodeBehavior {
  public:
@@ -299,6 +322,72 @@ TEST(Network, IgnoredClassesAreCountedButNotDispatched) {
     EXPECT_EQ(masked.counters, all.counters);
     EXPECT_EQ(masked.events, all.events);
     EXPECT_EQ(all.events.empty(), path == Path::kFast);
+  }
+}
+
+TEST(Network, PoolStandingClassesAreCountedButNotDispatched) {
+  // Every node but the sender is in a pool whose standing classes are the
+  // HEARDs without exactly one relayer: the pool is never handed one, yet
+  // deliveries, counters and trace events are those of the same run with
+  // no standing classes, untraced and traced over a lossy channel.
+  const Coord sender{4, 4};
+  const std::vector<Message> sent = {
+      make_committed(sender, 1),
+      make_heard({}, {3, 3}, 1),
+      make_heard({sender}, {3, 3}, 1),
+      make_heard({{2, 2}, {3, 3}, sender}, {1, 1}, 1),
+      make_heard({{3, 4}, sender}, {2, 4}, 0),
+  };
+  struct Run {
+    std::vector<Message> heard;  // by the pool
+    TrafficStats stats;
+    Counters counters;
+    std::vector<TraceEvent> events;
+  };
+  for (const bool lossy_traced : {false, true}) {
+    const auto run = [&](MessageClasses standing) {
+      auto net = make_net(8, 1);
+      RoundTrace trace;
+      trace.set_enabled(true);
+      if (lossy_traced) {
+        net.set_trace(&trace);
+        net.set_channel(std::make_unique<IidLossChannel>(0.3));
+      }
+      net.set_pool(std::make_unique<RecordingPool>(standing));
+      for (const Coord c : net.torus().all_coords()) {
+        if (c == sender) {
+          net.set_behavior(c, std::make_unique<Recorder>(sent));
+        } else {
+          net.assign_to_pool(c);
+        }
+      }
+      net.start();
+      net.run_round();
+      Run out;
+      out.heard = static_cast<const RecordingPool*>(net.pool())->received;
+      out.stats = net.stats();
+      out.counters = net.counters();
+      out.events = trace.events();
+      return out;
+    };
+    const Run all = run(MessageClasses{});
+    const Run masked =
+        run(MessageClasses::heard_with(0) | MessageClasses::heard_from(2));
+    std::vector<Message> expected;
+    for (const Message& m : all.heard) {
+      if (m.type == MsgType::kCommitted || m.relayers.size() == 1) {
+        expected.push_back(m);
+      }
+    }
+    ASSERT_LT(expected.size(), all.heard.size());
+    ASSERT_FALSE(expected.empty());
+    EXPECT_EQ(masked.heard, expected);
+    EXPECT_EQ(masked.stats.transmissions, all.stats.transmissions);
+    EXPECT_EQ(masked.stats.deliveries, all.stats.deliveries);
+    EXPECT_EQ(masked.stats.drops, all.stats.drops);
+    EXPECT_EQ(masked.counters, all.counters);
+    EXPECT_EQ(masked.events, all.events);
+    EXPECT_EQ(all.events.empty(), !lossy_traced);
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 namespace rbcast {
@@ -78,6 +80,32 @@ TEST(Torus, AllCoordsMatchesIndexOrder) {
   ASSERT_EQ(all.size(), 12u);
   for (std::size_t i = 0; i < all.size(); ++i) {
     EXPECT_EQ(t.index(all[i]), static_cast<std::int32_t>(i));
+  }
+}
+
+TEST(Torus, ModFloorFastPathMatchesDivision) {
+  // wrap() is the floor modulus per component. It skips the division for
+  // values in range or one period out; compare it with the division form
+  // over three periods each way and at the int32 extremes.
+  const auto division = [](std::int32_t v, std::int32_t m) {
+    const std::int32_t r = v % m;
+    return r < 0 ? r + m : r;
+  };
+  for (const std::int32_t m : {1, 2, 7, 12, 1024, 1 << 20}) {
+    const Torus t(m, m);
+    int mismatches = 0;
+    const auto check = [&](std::int32_t v) {
+      const Coord w = t.wrap({v, v});
+      if (w.x == division(v, m) && w.y == division(v, m)) return;
+      if (++mismatches <= 5) {
+        ADD_FAILURE() << "m=" << m << " v=" << v << ": got " << w.x << ","
+                      << w.y << ", want " << division(v, m);
+      }
+    };
+    check(std::numeric_limits<std::int32_t>::min());
+    check(std::numeric_limits<std::int32_t>::max());
+    for (std::int32_t v = -3 * m; v <= 3 * m; ++v) check(v);
+    EXPECT_EQ(mismatches, 0) << "m=" << m;
   }
 }
 
