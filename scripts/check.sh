@@ -36,10 +36,11 @@ if [[ "${quick}" -eq 1 ]]; then
   # The fast representative subset: round engine and its dispatch contract,
   # torus arithmetic, simulation runner, campaign engine, observability
   # layer, lying adversary, fault placement, the allocation bounds, the
-  # ignore declarations and the pool slot-view equivalence. (~10% of
+  # ignore declarations, the pool slot-view equivalence, and the counter
+  # schema's two readers (journal records, runtime verdict files). (~10% of
   # full-suite wall time.)
   ctest --test-dir "${build}" --output-on-failure -j "${jobs}" \
-    -R '^(Network|Torus|Simulation|ThreadPool|Campaign|Counters|RoundTrace|PhaseTimers|Lying|Placement|AllocFreeDelivery|IgnoreMask|PoolEquivalence)'
+    -R '^(Network|Torus|Simulation|ThreadPool|Campaign|Counters|RoundTrace|PhaseTimers|Lying|Placement|AllocFreeDelivery|IgnoreMask|PoolEquivalence|Journal|Verdict)'
 else
   ctest --test-dir "${build}" --output-on-failure -j "${jobs}"
 fi

@@ -7,12 +7,14 @@
 #include <iterator>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
 #endif
 
 #include "radiobcast/campaign/report.h"
+#include "radiobcast/obs/counters.h"
 #include "radiobcast/util/rng.h"
 
 namespace rbcast {
@@ -147,19 +149,16 @@ bool find_string(const std::string& s, const char* key, std::string* out) {
 }
 
 bool parse_counters(const std::string& s, Counters* c) {
-  return find_u64(s, "broadcasts_queued", &c->broadcasts_queued) &&
-         find_u64(s, "spoofed_sends", &c->spoofed_sends) &&
-         find_u64(s, "committed_queued", &c->committed_queued) &&
-         find_u64(s, "heard_queued", &c->heard_queued) &&
-         find_u64(s, "retransmission_copies", &c->retransmission_copies) &&
-         find_u64(s, "envelopes_delivered", &c->envelopes_delivered) &&
-         find_u64(s, "envelopes_dropped", &c->envelopes_dropped) &&
-         find_u64(s, "commits", &c->commits) &&
-         find_u64(s, "trial_retries", &c->trial_retries) &&
-         find_u64(s, "trial_timeouts", &c->trial_timeouts) &&
-         find_u64(s, "trial_failures", &c->trial_failures) &&
-         find_u64(s, "engine_bytes_peak", &c->engine_bytes_peak) &&
-         find_i64(s, "last_commit_round", &c->last_commit_round);
+  bool ok = true;
+  for_each_counter([&](const char* name, auto field, CounterMerge, bool) {
+    auto& value = c->*field;
+    if constexpr (std::is_signed_v<std::remove_reference_t<decltype(value)>>) {
+      ok = ok && find_i64(s, name, &value);
+    } else {
+      ok = ok && find_u64(s, name, &value);
+    }
+  });
+  return ok;
 }
 
 void append_outcome_json(std::string& out, const TrialOutcome& o) {
@@ -201,6 +200,7 @@ std::uint64_t campaign_fingerprint(const std::vector<CampaignCell>& cells) {
     h = mix(h, static_cast<std::uint64_t>(sim.max_rounds));
     h = mix_double(h, sim.loss_p);
     h = mix(h, static_cast<std::uint64_t>(sim.retransmissions));
+    h = mix(h, static_cast<std::uint64_t>(sim.loss_model));
     h = mix(h, static_cast<std::uint64_t>(sim.jam_budget));
     h = mix(h, static_cast<std::uint64_t>(sim.deadline_rounds));
     h = mix(h, static_cast<std::uint64_t>(sim.deadline_ms));

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <string_view>
 
+#include "radiobcast/obs/counters.h"
 #include "radiobcast/obs/memory.h"
 #include "radiobcast/util/table.h"
 
@@ -124,14 +125,11 @@ void write_csv(std::ostream& os, const CampaignResult& result) {
         "retransmissions,reps,seed,runs,successes,correct_total,honest_total,"
         "wrong_total,rounds_total,transmissions_total,fault_total,"
         "min_coverage,max_nbd_faults,mean_coverage,mean_rounds,"
-        "mean_transmissions,mean_fault_count,broadcasts_queued,spoofed_sends,"
-        "committed_queued,heard_queued,retransmission_copies,"
-        "envelopes_delivered,envelopes_dropped,commits,trial_retries,"
-        "trial_timeouts,trial_failures,packets_sent,packets_retransmitted,"
-        "packets_acked,duplicates_dropped,barrier_timeouts,barrier_wait_us,"
-        "chaos_drops,chaos_delays,chaos_duplicates,chaos_partition_drops,"
-        "node_restarts,peers_suspected,degraded_rounds,engine_bytes_peak,"
-        "last_commit_round\n";
+        "mean_transmissions,mean_fault_count";
+  for_each_counter([&os](const char* name, auto, CounterMerge, bool) {
+    os << ',' << name;
+  });
+  os << '\n';
   for (const CellResult& cell : result.cells) {
     const SimConfig& sim = cell.cell.sim;
     const Aggregate& agg = cell.aggregate;
@@ -152,33 +150,11 @@ void write_csv(std::ostream& os, const CampaignResult& result) {
        << json_number(agg.mean_coverage()) << ','
        << json_number(agg.mean_rounds()) << ','
        << json_number(agg.mean_transmissions()) << ','
-       << json_number(agg.mean_fault_count()) << ','
-       << agg.counters_total.broadcasts_queued << ','
-       << agg.counters_total.spoofed_sends << ','
-       << agg.counters_total.committed_queued << ','
-       << agg.counters_total.heard_queued << ','
-       << agg.counters_total.retransmission_copies << ','
-       << agg.counters_total.envelopes_delivered << ','
-       << agg.counters_total.envelopes_dropped << ','
-       << agg.counters_total.commits << ','
-       << agg.counters_total.trial_retries << ','
-       << agg.counters_total.trial_timeouts << ','
-       << agg.counters_total.trial_failures << ','
-       << agg.counters_total.packets_sent << ','
-       << agg.counters_total.packets_retransmitted << ','
-       << agg.counters_total.packets_acked << ','
-       << agg.counters_total.duplicates_dropped << ','
-       << agg.counters_total.barrier_timeouts << ','
-       << agg.counters_total.barrier_wait_us << ','
-       << agg.counters_total.chaos_drops << ','
-       << agg.counters_total.chaos_delays << ','
-       << agg.counters_total.chaos_duplicates << ','
-       << agg.counters_total.chaos_partition_drops << ','
-       << agg.counters_total.node_restarts << ','
-       << agg.counters_total.peers_suspected << ','
-       << agg.counters_total.degraded_rounds << ','
-       << agg.counters_total.engine_bytes_peak << ','
-       << agg.counters_total.last_commit_round << '\n';
+       << json_number(agg.mean_fault_count());
+    for_each_counter([&](const char*, auto field, CounterMerge, bool) {
+      os << ',' << agg.counters_total.*field;
+    });
+    os << '\n';
   }
 }
 

@@ -27,14 +27,8 @@ namespace rbcast {
 ///       wrong_total, rounds_total, transmissions_total, fault_total,
 ///       min_coverage, max_nbd_faults, mean_coverage, mean_rounds,
 ///       mean_transmissions, mean_fault_count,
-///       "counters": {broadcasts_queued, spoofed_sends, committed_queued,
-///        heard_queued, retransmission_copies, envelopes_delivered,
-///        envelopes_dropped, commits, trial_retries, trial_timeouts,
-///        trial_failures, packets_sent, packets_retransmitted, packets_acked,
-///        duplicates_dropped, barrier_timeouts, barrier_wait_us, chaos_drops,
-///        chaos_delays, chaos_duplicates, chaos_partition_drops,
-///        node_restarts, peers_suspected, degraded_rounds,
-///        engine_bytes_peak, last_commit_round}},
+///       "counters": {every Counters field, named and ordered as
+///        for_each_counter (obs/counters.h) lists it}},
 ///      "failures": [{"rep", "attempts", "seed", "kind", "what"}, ...]},
 ///     ...]
 /// }
@@ -47,7 +41,8 @@ namespace rbcast {
 void write_json(std::ostream& os, const CampaignResult& result);
 std::string to_json(const CampaignResult& result);
 
-/// Writes one CSV row per cell with the same params + aggregate columns.
+/// Writes one CSV row per cell with the same params + aggregate columns; the
+/// counter columns follow for_each_counter's order.
 void write_csv(std::ostream& os, const CampaignResult& result);
 std::string to_csv(const CampaignResult& result);
 

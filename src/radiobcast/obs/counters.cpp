@@ -5,70 +5,24 @@
 namespace rbcast {
 
 void Counters::merge(const Counters& other) {
-  broadcasts_queued += other.broadcasts_queued;
-  spoofed_sends += other.spoofed_sends;
-  committed_queued += other.committed_queued;
-  heard_queued += other.heard_queued;
-  retransmission_copies += other.retransmission_copies;
-  envelopes_delivered += other.envelopes_delivered;
-  envelopes_dropped += other.envelopes_dropped;
-  commits += other.commits;
-  trial_retries += other.trial_retries;
-  trial_timeouts += other.trial_timeouts;
-  trial_failures += other.trial_failures;
-  packets_sent += other.packets_sent;
-  packets_retransmitted += other.packets_retransmitted;
-  packets_acked += other.packets_acked;
-  duplicates_dropped += other.duplicates_dropped;
-  barrier_timeouts += other.barrier_timeouts;
-  barrier_wait_us += other.barrier_wait_us;
-  chaos_drops += other.chaos_drops;
-  chaos_delays += other.chaos_delays;
-  chaos_duplicates += other.chaos_duplicates;
-  chaos_partition_drops += other.chaos_partition_drops;
-  node_restarts += other.node_restarts;
-  peers_suspected += other.peers_suspected;
-  degraded_rounds += other.degraded_rounds;
-  engine_bytes_peak = std::max(engine_bytes_peak, other.engine_bytes_peak);
-  last_commit_round = std::max(last_commit_round, other.last_commit_round);
+  for_each_counter([&](const char*, auto field, CounterMerge rule, bool) {
+    if (rule == CounterMerge::kMax) {
+      this->*field = std::max(this->*field, other.*field);
+    } else {
+      this->*field += other.*field;
+    }
+  });
 }
 
 std::string to_json(const Counters& c) {
   std::string out = "{";
-  const auto field = [&out](const char* name, std::uint64_t v, bool first) {
-    if (!first) out += ',';
+  for_each_counter([&](const char* name, auto field, CounterMerge, bool) {
+    if (out.size() > 1) out += ',';
     out += '"';
     out += name;
     out += "\":";
-    out += std::to_string(v);
-  };
-  field("broadcasts_queued", c.broadcasts_queued, true);
-  field("spoofed_sends", c.spoofed_sends, false);
-  field("committed_queued", c.committed_queued, false);
-  field("heard_queued", c.heard_queued, false);
-  field("retransmission_copies", c.retransmission_copies, false);
-  field("envelopes_delivered", c.envelopes_delivered, false);
-  field("envelopes_dropped", c.envelopes_dropped, false);
-  field("commits", c.commits, false);
-  field("trial_retries", c.trial_retries, false);
-  field("trial_timeouts", c.trial_timeouts, false);
-  field("trial_failures", c.trial_failures, false);
-  field("packets_sent", c.packets_sent, false);
-  field("packets_retransmitted", c.packets_retransmitted, false);
-  field("packets_acked", c.packets_acked, false);
-  field("duplicates_dropped", c.duplicates_dropped, false);
-  field("barrier_timeouts", c.barrier_timeouts, false);
-  field("barrier_wait_us", c.barrier_wait_us, false);
-  field("chaos_drops", c.chaos_drops, false);
-  field("chaos_delays", c.chaos_delays, false);
-  field("chaos_duplicates", c.chaos_duplicates, false);
-  field("chaos_partition_drops", c.chaos_partition_drops, false);
-  field("node_restarts", c.node_restarts, false);
-  field("peers_suspected", c.peers_suspected, false);
-  field("degraded_rounds", c.degraded_rounds, false);
-  field("engine_bytes_peak", c.engine_bytes_peak, false);
-  out += ",\"last_commit_round\":";
-  out += std::to_string(c.last_commit_round);
+    out += std::to_string(c.*field);
+  });
   out += '}';
   return out;
 }

@@ -10,7 +10,9 @@
 // the same merge-safety contract as core/experiment.h's Aggregate.
 //
 // Counter semantics are documented field by field below and in
-// docs/OBSERVABILITY.md; tests/test_obs.cpp pins them.
+// docs/OBSERVABILITY.md; tests/test_obs.cpp pins them. for_each_counter, at
+// the end of this header, is the one list of fields that every merge,
+// export and parser walks.
 
 #include <cstdint>
 #include <string>
@@ -99,12 +101,56 @@ struct Counters {
   /// round-0 commit). "In which round did the last node commit?" — this one.
   std::int64_t last_commit_round = 0;
 
-  /// Exact, associative merge (integer sums; engine_bytes_peak and
-  /// last_commit_round take the max).
+  /// Exact, associative merge: each field sums or takes the max, as
+  /// for_each_counter lists it (engine_bytes_peak and last_commit_round take
+  /// the max).
   void merge(const Counters& other);
 
   friend bool operator==(const Counters&, const Counters&) = default;
 };
+
+/// How Counters::merge folds one field.
+enum class CounterMerge : std::uint8_t { kSum, kMax };
+
+/// The Counters schema, written once. Calls
+/// f(name, &Counters::field, merge, timed) for every field, in the fixed
+/// order of to_json, the campaign CSV columns, the journal and the runtime
+/// verdict file. `timed` marks the fields that depend on real packet timing
+/// (the runtime's link, barrier, chaos and recovery tiers); the others are a
+/// pure function of the trial or scenario, and they are what
+/// write_verdict_core writes. A field added to the struct must be added here
+/// too (Counters.SchemaListsEveryField checks it).
+template <class F>
+constexpr void for_each_counter(F&& f) {
+  using M = CounterMerge;
+  using C = Counters;
+  f("broadcasts_queued", &C::broadcasts_queued, M::kSum, false);
+  f("spoofed_sends", &C::spoofed_sends, M::kSum, false);
+  f("committed_queued", &C::committed_queued, M::kSum, false);
+  f("heard_queued", &C::heard_queued, M::kSum, false);
+  f("retransmission_copies", &C::retransmission_copies, M::kSum, false);
+  f("envelopes_delivered", &C::envelopes_delivered, M::kSum, false);
+  f("envelopes_dropped", &C::envelopes_dropped, M::kSum, false);
+  f("commits", &C::commits, M::kSum, false);
+  f("trial_retries", &C::trial_retries, M::kSum, false);
+  f("trial_timeouts", &C::trial_timeouts, M::kSum, false);
+  f("trial_failures", &C::trial_failures, M::kSum, false);
+  f("packets_sent", &C::packets_sent, M::kSum, true);
+  f("packets_retransmitted", &C::packets_retransmitted, M::kSum, true);
+  f("packets_acked", &C::packets_acked, M::kSum, true);
+  f("duplicates_dropped", &C::duplicates_dropped, M::kSum, true);
+  f("barrier_timeouts", &C::barrier_timeouts, M::kSum, true);
+  f("barrier_wait_us", &C::barrier_wait_us, M::kSum, true);
+  f("chaos_drops", &C::chaos_drops, M::kSum, true);
+  f("chaos_delays", &C::chaos_delays, M::kSum, true);
+  f("chaos_duplicates", &C::chaos_duplicates, M::kSum, true);
+  f("chaos_partition_drops", &C::chaos_partition_drops, M::kSum, true);
+  f("node_restarts", &C::node_restarts, M::kSum, true);
+  f("peers_suspected", &C::peers_suspected, M::kSum, true);
+  f("degraded_rounds", &C::degraded_rounds, M::kSum, true);
+  f("engine_bytes_peak", &C::engine_bytes_peak, M::kMax, false);
+  f("last_commit_round", &C::last_commit_round, M::kMax, false);
+}
 
 /// The counters as a JSON object fragment, e.g.
 /// {"broadcasts_queued":12,...,"last_commit_round":7} — field order fixed,

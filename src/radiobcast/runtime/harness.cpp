@@ -129,11 +129,12 @@ RuntimeResult run_scenario_threads(
   // restarted node keeps the same datagram-fate stream and cumulative stats.
   std::vector<std::unique_ptr<ChaosTransport>> chaos;
   if (scenario.chaos.enabled()) {
+    const ChaosOptions chaos_options = make_chaos_options(scenario);
     chaos.reserve(static_cast<std::size_t>(n));
     for (std::int64_t i = 0; i < n; ++i) {
       chaos.push_back(std::make_unique<ChaosTransport>(
           static_cast<std::uint32_t>(i), *transports[static_cast<std::size_t>(i)],
-          make_chaos_options(scenario, static_cast<std::int32_t>(i))));
+          chaos_options));
     }
   }
 
@@ -168,11 +169,7 @@ RuntimeResult run_scenario_threads(
           opts.crash_at_round = -1;
         }
         if (!chaos.empty()) {
-          const ChaosStats& st = chaos[idx]->stats();
-          verdicts[idx].counters.chaos_drops = st.drops;
-          verdicts[idx].counters.chaos_duplicates = st.duplicates;
-          verdicts[idx].counters.chaos_delays = st.delays;
-          verdicts[idx].counters.chaos_partition_drops = st.partition_drops;
+          record_chaos(chaos[idx]->stats(), verdicts[idx].counters);
         }
       } catch (...) {
         const std::lock_guard<std::mutex> lock(error_mutex);
@@ -183,6 +180,13 @@ RuntimeResult run_scenario_threads(
   for (std::thread& t : threads) t.join();
   if (first_error) std::rethrow_exception(first_error);
   return score_verdicts(scenario, std::move(verdicts));
+}
+
+void record_chaos(const ChaosStats& stats, Counters& counters) {
+  counters.chaos_drops = stats.drops;
+  counters.chaos_duplicates = stats.duplicates;
+  counters.chaos_delays = stats.delays;
+  counters.chaos_partition_drops = stats.partition_drops;
 }
 
 namespace {
@@ -196,40 +200,29 @@ const char* role_name(NodeRole role) {
   return "?";
 }
 
-}  // namespace
-
-void write_verdict(std::ostream& out, const RuntimeVerdict& v) {
-  out << "index " << v.index << '\n'
-      << "self " << v.self.x << ' ' << v.self.y << '\n'
-      << "role " << role_name(v.role) << '\n'
-      << "committed " << (v.committed ? static_cast<int>(*v.committed) : -1)
-      << '\n'
-      << "commit_round " << v.commit_round << '\n'
-      << "rounds " << v.rounds << '\n'
-      << "lingered_clean " << (v.lingered_clean ? 1 : 0) << '\n'
-      << "interrupted " << (v.interrupted ? 1 : 0) << '\n'
-      << "crashed " << (v.crashed ? 1 : 0) << '\n'
-      << "commits " << v.counters.commits << '\n'
-      << "broadcasts_queued " << v.counters.broadcasts_queued << '\n'
-      << "envelopes_delivered " << v.counters.envelopes_delivered << '\n'
-      << "envelopes_dropped " << v.counters.envelopes_dropped << '\n'
-      << "packets_sent " << v.counters.packets_sent << '\n'
-      << "packets_retransmitted " << v.counters.packets_retransmitted << '\n'
-      << "packets_acked " << v.counters.packets_acked << '\n'
-      << "duplicates_dropped " << v.counters.duplicates_dropped << '\n'
-      << "barrier_timeouts " << v.counters.barrier_timeouts << '\n'
-      << "barrier_wait_us " << v.counters.barrier_wait_us << '\n'
-      << "chaos_drops " << v.counters.chaos_drops << '\n'
-      << "chaos_delays " << v.counters.chaos_delays << '\n'
-      << "chaos_duplicates " << v.counters.chaos_duplicates << '\n'
-      << "chaos_partition_drops " << v.counters.chaos_partition_drops << '\n'
-      << "node_restarts " << v.counters.node_restarts << '\n'
-      << "peers_suspected " << v.counters.peers_suspected << '\n'
-      << "degraded_rounds " << v.counters.degraded_rounds << '\n'
-      << "last_commit_round " << v.counters.last_commit_round << '\n'
-      << "round_latency_hist " << v.round_latency.serialize() << '\n'
-      << "commit_latency_hist " << v.commit_latency.serialize() << '\n';
+/// Writes the counters whose for_each_counter `timed` flag equals `timed`,
+/// as `name value` lines in the schema's order.
+void write_counters(std::ostream& out, const Counters& c, bool timed) {
+  for_each_counter([&](const char* name, auto field, CounterMerge, bool t) {
+    if (t == timed) out << name << ' ' << c.*field << '\n';
+  });
 }
+
+/// Reads the value of the counter named `key` from `in` into `c`. Returns
+/// false when no counter has that name.
+bool parse_counter(const std::string& key, std::istream& in, Counters& c) {
+  bool found = false;
+  for_each_counter([&](const char* name, auto field, CounterMerge, bool) {
+    if (found || key != name) return;
+    found = true;
+    if (!(in >> c.*field)) {
+      throw std::invalid_argument("verdict: bad value for '" + key + "'");
+    }
+  });
+  return found;
+}
+
+}  // namespace
 
 void write_verdict_core(std::ostream& out, const RuntimeVerdict& v) {
   out << "index " << v.index << '\n'
@@ -239,14 +232,17 @@ void write_verdict_core(std::ostream& out, const RuntimeVerdict& v) {
       << '\n'
       << "commit_round " << v.commit_round << '\n'
       << "rounds " << v.rounds << '\n'
-      << "crashed " << (v.crashed ? 1 : 0) << '\n'
-      << "commits " << v.counters.commits << '\n'
-      << "broadcasts_queued " << v.counters.broadcasts_queued << '\n'
-      << "committed_queued " << v.counters.committed_queued << '\n'
-      << "heard_queued " << v.counters.heard_queued << '\n'
-      << "envelopes_delivered " << v.counters.envelopes_delivered << '\n'
-      << "envelopes_dropped " << v.counters.envelopes_dropped << '\n'
-      << "last_commit_round " << v.counters.last_commit_round << '\n';
+      << "crashed " << (v.crashed ? 1 : 0) << '\n';
+  write_counters(out, v.counters, /*timed=*/false);
+}
+
+void write_verdict(std::ostream& out, const RuntimeVerdict& v) {
+  write_verdict_core(out, v);
+  out << "lingered_clean " << (v.lingered_clean ? 1 : 0) << '\n'
+      << "interrupted " << (v.interrupted ? 1 : 0) << '\n';
+  write_counters(out, v.counters, /*timed=*/true);
+  out << "round_latency_hist " << v.round_latency.serialize() << '\n'
+      << "commit_latency_hist " << v.commit_latency.serialize() << '\n';
 }
 
 RuntimeVerdict parse_verdict(std::istream& in) {
@@ -300,59 +296,6 @@ RuntimeVerdict parse_verdict(std::istream& in) {
     } else if (key == "crashed") {
       want_i64(x);
       v.crashed = x != 0;
-    } else if (key == "commits") {
-      want_i64(x);
-      v.counters.commits = static_cast<std::uint64_t>(x);
-    } else if (key == "broadcasts_queued") {
-      want_i64(x);
-      v.counters.broadcasts_queued = static_cast<std::uint64_t>(x);
-    } else if (key == "envelopes_delivered") {
-      want_i64(x);
-      v.counters.envelopes_delivered = static_cast<std::uint64_t>(x);
-    } else if (key == "envelopes_dropped") {
-      want_i64(x);
-      v.counters.envelopes_dropped = static_cast<std::uint64_t>(x);
-    } else if (key == "packets_sent") {
-      want_i64(x);
-      v.counters.packets_sent = static_cast<std::uint64_t>(x);
-    } else if (key == "packets_retransmitted") {
-      want_i64(x);
-      v.counters.packets_retransmitted = static_cast<std::uint64_t>(x);
-    } else if (key == "packets_acked") {
-      want_i64(x);
-      v.counters.packets_acked = static_cast<std::uint64_t>(x);
-    } else if (key == "duplicates_dropped") {
-      want_i64(x);
-      v.counters.duplicates_dropped = static_cast<std::uint64_t>(x);
-    } else if (key == "barrier_timeouts") {
-      want_i64(x);
-      v.counters.barrier_timeouts = static_cast<std::uint64_t>(x);
-    } else if (key == "barrier_wait_us") {
-      want_i64(x);
-      v.counters.barrier_wait_us = static_cast<std::uint64_t>(x);
-    } else if (key == "chaos_drops") {
-      want_i64(x);
-      v.counters.chaos_drops = static_cast<std::uint64_t>(x);
-    } else if (key == "chaos_delays") {
-      want_i64(x);
-      v.counters.chaos_delays = static_cast<std::uint64_t>(x);
-    } else if (key == "chaos_duplicates") {
-      want_i64(x);
-      v.counters.chaos_duplicates = static_cast<std::uint64_t>(x);
-    } else if (key == "chaos_partition_drops") {
-      want_i64(x);
-      v.counters.chaos_partition_drops = static_cast<std::uint64_t>(x);
-    } else if (key == "node_restarts") {
-      want_i64(x);
-      v.counters.node_restarts = static_cast<std::uint64_t>(x);
-    } else if (key == "peers_suspected") {
-      want_i64(x);
-      v.counters.peers_suspected = static_cast<std::uint64_t>(x);
-    } else if (key == "degraded_rounds") {
-      want_i64(x);
-      v.counters.degraded_rounds = static_cast<std::uint64_t>(x);
-    } else if (key == "last_commit_round") {
-      want_i64(v.counters.last_commit_round);
     } else if (key == "round_latency_hist" || key == "commit_latency_hist") {
       std::string rest;
       std::getline(ls, rest);
@@ -363,7 +306,7 @@ RuntimeVerdict parse_verdict(std::istream& in) {
         throw std::invalid_argument("verdict: bad value for '" + key +
                                     "': " + e.what());
       }
-    } else {
+    } else if (!parse_counter(key, ls, v.counters)) {
       throw std::invalid_argument("verdict: unknown key '" + key + "'");
     }
   }

@@ -82,20 +82,28 @@ RuntimeResult run_scenario_threads(
     const std::function<void(RuntimeNode::Options&)>& tweak = nullptr);
 
 /// Serializes a verdict as line-based `key value` text (the per-node file of
-/// process mode).
+/// process mode): write_verdict_core's lines, then the timing-dependent rest
+/// (linger and interrupt flags, every counter for_each_counter marks timed,
+/// latency histograms). Every Counters field is written.
 void write_verdict(std::ostream& out, const RuntimeVerdict& verdict);
 
 /// Serializes only the deterministic subset of a verdict: the fields that are
-/// a pure function of the scenario (protocol outcome and message-count
-/// counters), excluding everything timing-dependent (link traffic, barrier
-/// waits, chaos stats, latency histograms). Two runs of one scenario over
-/// different transports (per-node UDP sockets or one SwarmHub socket) must
-/// produce byte-identical cores — the cross-transport equivalence bar
-/// (tests/test_runtime_equivalence.cpp).
+/// a pure function of the scenario (protocol outcome and the counters
+/// for_each_counter does not mark timed), excluding everything
+/// timing-dependent (link traffic, barrier waits, chaos stats, latency
+/// histograms). Two runs of one scenario over different transports (per-node
+/// UDP sockets or one SwarmHub socket) must produce byte-identical cores —
+/// the cross-transport equivalence bar (tests/test_runtime_equivalence.cpp).
 void write_verdict_core(std::ostream& out, const RuntimeVerdict& verdict);
 
-/// Inverse of write_verdict. Throws std::invalid_argument on malformed input.
+/// Inverse of write_verdict. Throws std::invalid_argument on malformed input,
+/// unknown keys included.
 RuntimeVerdict parse_verdict(std::istream& in);
+
+/// Copies what the chaos layer did to a node's traffic into its chaos_*
+/// counters; both launch modes (the thread harness and radiobcast-node) call
+/// it on the verdict a node's run returns.
+void record_chaos(const ChaosStats& stats, Counters& counters);
 
 /// Builds the RuntimeNode options a given node index runs with — the single
 /// recipe shared by the thread harness and the radiobcast-node binary, so

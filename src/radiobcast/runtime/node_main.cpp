@@ -115,18 +115,12 @@ int run(int argc, char** argv) {
       if (scenario.chaos.enabled()) {
         chaos = std::make_unique<ChaosTransport>(
             static_cast<std::uint32_t>(index), udp,
-            make_chaos_options(scenario, static_cast<std::int32_t>(index)));
+            make_chaos_options(scenario));
         transport = chaos.get();
       }
       RuntimeNode node(opts, *transport);
       verdict = node.run();
-      if (chaos) {
-        const ChaosStats& st = chaos->stats();
-        verdict.counters.chaos_drops = st.drops;
-        verdict.counters.chaos_duplicates = st.duplicates;
-        verdict.counters.chaos_delays = st.delays;
-        verdict.counters.chaos_partition_drops = st.partition_drops;
-      }
+      if (chaos) record_chaos(chaos->stats(), verdict.counters);
     }  // socket closed here — a dead incarnation loses its in-flight traffic
     if (!verdict.crashed || restart_after_ms < 0 || shutdown.requested()) {
       break;

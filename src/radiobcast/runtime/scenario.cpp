@@ -33,7 +33,7 @@ std::uint64_t Scenario::chaos_seed() const {
                          : hash_seeds(sim.seed, 0x9e3779b97f4a7c15ULL);
 }
 
-ChaosOptions make_chaos_options(const Scenario& scenario, std::int32_t index) {
+ChaosOptions make_chaos_options(const Scenario& scenario) {
   ChaosOptions opts;
   opts.drop_p = scenario.chaos.drop_p;
   opts.duplicate_p = scenario.chaos.duplicate_p;
@@ -49,7 +49,6 @@ ChaosOptions make_chaos_options(const Scenario& scenario, std::int32_t index) {
     cp.end_ms = p.end_ms;
     opts.partitions.push_back(cp);
   }
-  (void)index;  // ChaosTransport filters partitions by its own index
   return opts;
 }
 

@@ -111,10 +111,11 @@ struct Scenario {
   std::uint64_t chaos_seed() const;
 };
 
-/// Converts the scenario's chaos section into node `index`'s ChaosOptions
-/// (partition coords resolved to indices). Returns disabled options when the
-/// scenario has no chaos section.
-ChaosOptions make_chaos_options(const Scenario& scenario, std::int32_t index);
+/// Converts the scenario's chaos section into the ChaosOptions every node's
+/// ChaosTransport runs with (partition coords resolved to indices; each
+/// transport keeps the partitions sent from its own index). Returns disabled
+/// options when the scenario has no chaos section.
+ChaosOptions make_chaos_options(const Scenario& scenario);
 
 /// Parses a scenario from text. Throws std::invalid_argument with a
 /// line-numbered message on unknown keys or malformed values.

@@ -291,10 +291,34 @@ TEST(Journal, RecordJsonRoundTripsExactly) {
   rec.outcome.nbd_faults = 3;
   rec.outcome.success = false;
   rec.outcome.coverage = 141.0 / 143.0;  // non-terminating binary fraction
-  rec.outcome.counters.broadcasts_queued = 9;
-  rec.outcome.counters.commits = 141;
-  rec.outcome.counters.trial_retries = 1;
-  rec.outcome.counters.last_commit_round = 18;
+  // Every counter distinct and nonzero, so a field the record drops or swaps
+  // breaks the whole-struct comparison below.
+  rec.outcome.counters = Counters{.broadcasts_queued = 9,
+                                  .spoofed_sends = 2,
+                                  .committed_queued = 3,
+                                  .heard_queued = 6,
+                                  .retransmission_copies = 4,
+                                  .envelopes_delivered = 1500,
+                                  .envelopes_dropped = 5,
+                                  .commits = 141,
+                                  .trial_retries = 1,
+                                  .trial_timeouts = 7,
+                                  .trial_failures = 8,
+                                  .packets_sent = 10,
+                                  .packets_retransmitted = 11,
+                                  .packets_acked = 12,
+                                  .duplicates_dropped = 13,
+                                  .barrier_timeouts = 14,
+                                  .barrier_wait_us = 15,
+                                  .chaos_drops = 16,
+                                  .chaos_delays = 17,
+                                  .chaos_duplicates = 19,
+                                  .chaos_partition_drops = 20,
+                                  .node_restarts = 21,
+                                  .peers_suspected = 22,
+                                  .degraded_rounds = 23,
+                                  .engine_bytes_peak = 4096,
+                                  .last_commit_round = 18};
   const auto parsed = parse_journal_record(to_json(rec));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->trial, rec.trial);
@@ -313,10 +337,7 @@ TEST(Journal, RecordJsonRoundTripsExactly) {
   EXPECT_EQ(parsed->outcome.success, rec.outcome.success);
   // Bit-exact double round trip (%.17g out, strtod back).
   EXPECT_EQ(parsed->outcome.coverage, rec.outcome.coverage);
-  EXPECT_EQ(parsed->outcome.counters.broadcasts_queued, 9u);
-  EXPECT_EQ(parsed->outcome.counters.commits, 141u);
-  EXPECT_EQ(parsed->outcome.counters.trial_retries, 1u);
-  EXPECT_EQ(parsed->outcome.counters.last_commit_round, 18);
+  EXPECT_EQ(parsed->outcome.counters, rec.outcome.counters) << to_json(rec);
 }
 
 TEST(Journal, FailedRecordRoundTripsEscapedWhat) {
@@ -371,6 +392,9 @@ TEST(Journal, HeaderRoundTripAndFingerprintSensitivity) {
   EXPECT_NE(campaign_fingerprint(edited), fp);
   edited = cells;
   edited[0].sim.seed += 1;
+  EXPECT_NE(campaign_fingerprint(edited), fp);
+  edited = cells;
+  edited[0].sim.loss_model = LossModel::kPairwise;
   EXPECT_NE(campaign_fingerprint(edited), fp);
 }
 

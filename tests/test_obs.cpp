@@ -7,11 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <new>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "radiobcast/core/simulation.h"
 #include "radiobcast/net/network.h"
@@ -168,6 +171,37 @@ TEST(Counters, JsonRenderingIsFixedOrder) {
             "\"peers_suspected\":0,\"degraded_rounds\":1,"
             "\"engine_bytes_peak\":4096,"
             "\"last_commit_round\":3}");
+}
+
+TEST(Counters, SchemaListsEveryField) {
+  const Counters c;
+  const auto* base = reinterpret_cast<const unsigned char*>(&c);
+  std::size_t listed_bytes = 0;
+  std::vector<std::ptrdiff_t> offsets;
+  std::vector<std::string> names;
+  for_each_counter([&](const char* name, auto field, CounterMerge, bool) {
+    listed_bytes += sizeof(c.*field);
+    offsets.push_back(reinterpret_cast<const unsigned char*>(&(c.*field)) -
+                      base);
+    names.emplace_back(name);
+  });
+  // Distinct members whose sizes add up to the struct: a field added to
+  // Counters but not to the list leaves the sum short.
+  std::sort(offsets.begin(), offsets.end());
+  EXPECT_EQ(std::adjacent_find(offsets.begin(), offsets.end()), offsets.end());
+  EXPECT_EQ(listed_bytes, sizeof(Counters));
+  std::vector<std::string> sorted_names = names;
+  std::sort(sorted_names.begin(), sorted_names.end());
+  EXPECT_EQ(std::adjacent_find(sorted_names.begin(), sorted_names.end()),
+            sorted_names.end());
+  // to_json's keys are the listed names, in the listed order.
+  const std::string json = to_json(c);
+  std::vector<std::string> keys;
+  for (std::size_t at = json.find('"'); at != std::string::npos;
+       at = json.find('"', json.find('"', at + 1) + 1)) {
+    keys.push_back(json.substr(at + 1, json.find('"', at + 1) - at - 1));
+  }
+  EXPECT_EQ(keys, names);
 }
 
 TEST(RoundTrace, RingBufferWrapsDeterministically) {

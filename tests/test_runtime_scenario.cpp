@@ -322,25 +322,35 @@ TEST(Verdict, WriteParseRoundtrips) {
   v.rounds = 40;
   v.lingered_clean = true;
   v.interrupted = false;
-  v.counters.commits = 1;
-  v.counters.broadcasts_queued = 9;
-  v.counters.envelopes_delivered = 123;
-  v.counters.packets_sent = 456;
-  v.counters.packets_retransmitted = 7;
-  v.counters.packets_acked = 455;
-  v.counters.duplicates_dropped = 3;
-  v.counters.barrier_timeouts = 0;
-  v.counters.barrier_wait_us = 98765;
-  v.counters.last_commit_round = 4;
   v.crashed = true;
-  v.counters.envelopes_dropped = 11;
-  v.counters.chaos_drops = 5;
-  v.counters.chaos_delays = 6;
-  v.counters.chaos_duplicates = 7;
-  v.counters.chaos_partition_drops = 8;
-  v.counters.node_restarts = 1;
-  v.counters.peers_suspected = 2;
-  v.counters.degraded_rounds = 3;
+  // Every counter distinct and nonzero, so a field the file drops or swaps
+  // breaks the whole-struct comparison below.
+  v.counters = Counters{.broadcasts_queued = 9,
+                        .spoofed_sends = 2,
+                        .committed_queued = 3,
+                        .heard_queued = 6,
+                        .retransmission_copies = 10,
+                        .envelopes_delivered = 123,
+                        .envelopes_dropped = 11,
+                        .commits = 1,
+                        .trial_retries = 12,
+                        .trial_timeouts = 13,
+                        .trial_failures = 14,
+                        .packets_sent = 456,
+                        .packets_retransmitted = 7,
+                        .packets_acked = 455,
+                        .duplicates_dropped = 15,
+                        .barrier_timeouts = 16,
+                        .barrier_wait_us = 98765,
+                        .chaos_drops = 5,
+                        .chaos_delays = 17,
+                        .chaos_duplicates = 18,
+                        .chaos_partition_drops = 8,
+                        .node_restarts = 19,
+                        .peers_suspected = 20,
+                        .degraded_rounds = 21,
+                        .engine_bytes_peak = 4096,
+                        .last_commit_round = 4};
 
   std::stringstream io;
   write_verdict(io, v);
@@ -353,28 +363,8 @@ TEST(Verdict, WriteParseRoundtrips) {
   EXPECT_EQ(back.rounds, v.rounds);
   EXPECT_EQ(back.lingered_clean, v.lingered_clean);
   EXPECT_EQ(back.interrupted, v.interrupted);
-  EXPECT_EQ(back.counters.commits, v.counters.commits);
-  EXPECT_EQ(back.counters.broadcasts_queued, v.counters.broadcasts_queued);
-  EXPECT_EQ(back.counters.envelopes_delivered,
-            v.counters.envelopes_delivered);
-  EXPECT_EQ(back.counters.packets_sent, v.counters.packets_sent);
-  EXPECT_EQ(back.counters.packets_retransmitted,
-            v.counters.packets_retransmitted);
-  EXPECT_EQ(back.counters.packets_acked, v.counters.packets_acked);
-  EXPECT_EQ(back.counters.duplicates_dropped,
-            v.counters.duplicates_dropped);
-  EXPECT_EQ(back.counters.barrier_wait_us, v.counters.barrier_wait_us);
-  EXPECT_EQ(back.counters.last_commit_round, v.counters.last_commit_round);
   EXPECT_EQ(back.crashed, v.crashed);
-  EXPECT_EQ(back.counters.envelopes_dropped, v.counters.envelopes_dropped);
-  EXPECT_EQ(back.counters.chaos_drops, v.counters.chaos_drops);
-  EXPECT_EQ(back.counters.chaos_delays, v.counters.chaos_delays);
-  EXPECT_EQ(back.counters.chaos_duplicates, v.counters.chaos_duplicates);
-  EXPECT_EQ(back.counters.chaos_partition_drops,
-            v.counters.chaos_partition_drops);
-  EXPECT_EQ(back.counters.node_restarts, v.counters.node_restarts);
-  EXPECT_EQ(back.counters.peers_suspected, v.counters.peers_suspected);
-  EXPECT_EQ(back.counters.degraded_rounds, v.counters.degraded_rounds);
+  EXPECT_EQ(back.counters, v.counters) << io.str();
 }
 
 TEST(Verdict, UncommittedSerializesAsMinusOne) {
