@@ -26,23 +26,27 @@ std::vector<Coord> FaultSet::sorted() const {
 
 std::int64_t max_closed_nbd_faults(const Torus& torus, const FaultSet& faults,
                                    std::int32_t r, Metric m) {
-  // Only centers within r of some fault can have a non-zero count, so scan
-  // the union of balls around faults rather than the whole torus.
+  // Center c counts fault f once if f = c and once per offset o with
+  // c + o = f. So listing f and f - o for every fault f and offset o lists
+  // each center once per fault it counts (the centers trim_to_budget
+  // enumerates), and the worst count is the longest run in the sorted list.
+  // An empty set lists nothing.
   const auto& table = NeighborhoodTable::get(r, m);
-  std::unordered_set<Coord> candidate_centers;
+  std::vector<std::int32_t> centers;
+  centers.reserve(faults.size() * (table.offsets().size() + 1));
   for (const Coord f : faults.sorted()) {
-    candidate_centers.insert(f);
+    centers.push_back(torus.index(f));
     for (const Offset o : table.offsets()) {
-      candidate_centers.insert(torus.wrap(f + o));
+      centers.push_back(torus.index(f - o));
     }
   }
+  std::sort(centers.begin(), centers.end());
   std::int64_t best = 0;
-  for (const Coord c : candidate_centers) {
-    std::int64_t count = faults.contains(c) ? 1 : 0;
-    for (const Offset o : table.offsets()) {
-      if (faults.contains(torus.wrap(c + o))) ++count;
-    }
-    best = std::max(best, count);
+  for (std::size_t i = 0; i < centers.size();) {
+    std::size_t end = i + 1;
+    while (end < centers.size() && centers[end] == centers[i]) ++end;
+    best = std::max(best, static_cast<std::int64_t>(end - i));
+    i = end;
   }
   return best;
 }

@@ -65,12 +65,16 @@ FaultSet random_bounded(const Torus& torus, std::int32_t r, Metric m,
                         std::int64_t t, std::int64_t target,
                         std::int64_t attempts, Rng& rng, Coord exclude) {
   FaultSet out;
-  const Coord excl = torus.wrap(exclude);
   const auto& table = NeighborhoodTable::get(r, m);
+  const auto nodes = static_cast<std::size_t>(torus.node_count());
   // Incremental closed-neighborhood counts: counts[c] = number of faults in
   // nbd(c) ∪ {c}.
-  std::vector<std::int64_t> counts(
-      static_cast<std::size_t>(torus.node_count()), 0);
+  std::vector<std::int64_t> counts(nodes, 0);
+  // Nodes no later draw can add: the excluded node, the faults, and every
+  // node can_add once refused (counts only grow, so it stays refused). A
+  // draw of one is skipped without a look.
+  std::vector<char> settled(nodes, 0);
+  settled[static_cast<std::size_t>(torus.index(exclude))] = 1;
   auto can_add = [&](Coord f) {
     if (counts[static_cast<std::size_t>(torus.index(f))] + 1 > t) return false;
     for (const Offset o : table.offsets()) {
@@ -89,11 +93,10 @@ FaultSet random_bounded(const Torus& torus, std::int32_t r, Metric m,
   };
   for (std::int64_t i = 0;
        i < attempts && static_cast<std::int64_t>(out.size()) < target; ++i) {
-    const auto idx =
-        static_cast<std::int32_t>(rng.below(
-            static_cast<std::uint64_t>(torus.node_count())));
-    const Coord c = torus.coord(idx);
-    if (c == excl || out.contains(c)) continue;
+    const auto idx = static_cast<std::size_t>(rng.below(nodes));
+    if (settled[idx] != 0) continue;
+    settled[idx] = 1;
+    const Coord c = torus.coord(static_cast<std::int32_t>(idx));
     if (!can_add(c)) continue;
     out.add(torus, c);
     apply_add(c);

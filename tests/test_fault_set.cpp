@@ -1,6 +1,13 @@
 #include "radiobcast/fault/fault_set.h"
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "radiobcast/fault/placement.h"
+#include "radiobcast/grid/neighborhood.h"
 
 namespace rbcast {
 namespace {
@@ -114,6 +121,66 @@ TEST(LocalBound, FullStripWorstCase) {
   }
   EXPECT_EQ(max_closed_nbd_faults(torus, f, r, Metric::kLInf),
             static_cast<std::int64_t>(r) * (2 * r + 1));
+}
+
+/// The validator's definition, counted over every center of the torus: the
+/// center itself if faulty, plus one for each offset that lands on a fault
+/// (offsets that wrap onto one node count once each).
+std::int64_t max_closed_nbd_faults_whole_torus(const Torus& torus,
+                                               const FaultSet& faults,
+                                               std::int32_t r, Metric m) {
+  const auto& table = NeighborhoodTable::get(r, m);
+  std::int64_t best = 0;
+  for (const Coord c : torus.all_coords()) {
+    std::int64_t count = faults.contains(c) ? 1 : 0;
+    for (const Offset o : table.offsets()) {
+      if (faults.contains(torus.wrap(c + o))) ++count;
+    }
+    best = std::max(best, count);
+  }
+  return best;
+}
+
+TEST(LocalBound, MatchesWholeTorusCount) {
+  // Small tori where a neighborhood covers the torus (5x5 at r = 2) or two
+  // offsets wrap onto one node (4x4 and 3x5 at r = 2, 2x3 at r = 1), larger
+  // ones, and strips across the seam.
+  struct Shape {
+    std::int32_t width, height, r;
+  };
+  const std::vector<Shape> shapes = {{2, 3, 1}, {4, 4, 1},  {3, 5, 2},
+                                     {4, 4, 2}, {5, 5, 2},  {7, 6, 3},
+                                     {12, 10, 2}, {16, 14, 3}};
+  int cases = 0;
+  for (const Shape& s : shapes) {
+    const Torus torus(s.width, s.height);
+    const Coord source{1, 1};
+    for (const Metric m : {Metric::kLInf, Metric::kL2}) {
+      Rng rng(static_cast<std::uint64_t>(100 * s.width + 10 * s.height + s.r));
+      std::vector<FaultSet> patterns = {
+          FaultSet{},
+          FaultSet(torus, {{0, 0}}),
+          FaultSet(torus, {{0, 0}, {s.width - 1, s.height - 1}}),
+          iid_faults(torus, 0.2, rng, source),
+          iid_faults(torus, 0.6, rng, source),
+          iid_faults(torus, 1.0, rng, source),
+      };
+      if (s.width >= 3) {
+        patterns.push_back(full_strip(torus, s.width - 1, 2, source));
+        patterns.push_back(
+            checkerboard_strip(torus, s.width - 1, 2, 1, source));
+      }
+      for (std::size_t p = 0; p < patterns.size(); ++p) {
+        EXPECT_EQ(max_closed_nbd_faults(torus, patterns[p], s.r, m),
+                  max_closed_nbd_faults_whole_torus(torus, patterns[p], s.r,
+                                                    m))
+            << s.width << "x" << s.height << " r=" << s.r
+            << " m=" << to_string(m) << " pattern=" << p;
+        ++cases;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 2 * (6 + 7 * 8));
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "radiobcast/fault/placement.h"
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -56,6 +57,48 @@ void trim_whole_torus(FaultSet& faults, const Torus& torus, std::int32_t r,
     if (!have_victim) return;
     faults.remove(torus, victim);
   }
+}
+
+/// random_bounded as it was before it skipped settled nodes, the reference
+/// its output and RNG use must match: every draw that is not the excluded
+/// node or a fault recounts the drawn node's closed neighborhood.
+FaultSet random_bounded_reference(const Torus& torus, std::int32_t r,
+                                  Metric m, std::int64_t t,
+                                  std::int64_t target, std::int64_t attempts,
+                                  Rng& rng, Coord exclude) {
+  FaultSet out;
+  const Coord excl = torus.wrap(exclude);
+  const auto& table = NeighborhoodTable::get(r, m);
+  std::vector<std::int64_t> counts(
+      static_cast<std::size_t>(torus.node_count()), 0);
+  auto can_add = [&](Coord f) {
+    if (counts[static_cast<std::size_t>(torus.index(f))] + 1 > t) return false;
+    for (const Offset o : table.offsets()) {
+      const Coord c = torus.wrap(f + o);
+      if (counts[static_cast<std::size_t>(torus.index(c))] + 1 > t) {
+        return false;
+      }
+    }
+    return true;
+  };
+  auto apply_add = [&](Coord f) {
+    counts[static_cast<std::size_t>(torus.index(f))] += 1;
+    for (const Offset o : table.offsets()) {
+      counts[static_cast<std::size_t>(torus.index(torus.wrap(f + o)))] += 1;
+    }
+  };
+  for (std::int64_t i = 0;
+       i < attempts && static_cast<std::int64_t>(out.size()) < target; ++i) {
+    const auto idx =
+        static_cast<std::int32_t>(rng.below(
+            static_cast<std::uint64_t>(torus.node_count())));
+    const Coord c = torus.coord(idx);
+    if (c == excl || out.contains(c)) continue;
+    if (!can_add(c)) continue;
+    out.add(torus, c);
+    apply_add(c);
+  }
+  return out;
 }
 
 TEST(Placement, FullStripCoversAllRows) {
@@ -185,6 +228,43 @@ TEST(Placement, RandomBoundedIsDeterministicPerSeed) {
                                  kSource);
   EXPECT_EQ(fa.sorted(), fb.sorted());
   EXPECT_NE(fa.sorted(), fc.sorted());
+}
+
+TEST(Placement, RandomBoundedMatchesRecountingReference) {
+  // Same faults and the same next draw: the skip of settled nodes must not
+  // change which nodes are drawn, how many draws are taken, or what is kept.
+  int cases = 0;
+  for (std::int32_t r = 1; r <= 3; ++r) {
+    const Torus torus(5 * r + 5, 4 * r + 6);
+    const Coord source = torus.wrap({torus.width() - 1, 2});  // off origin
+    for (const Metric m : {Metric::kLInf, Metric::kL2}) {
+      const std::int64_t full = r_2r_plus_1(r);
+      for (const std::int64_t t : {std::int64_t{0}, std::int64_t{1},
+                                   full / 2, full}) {
+        for (const std::int64_t target : {std::int64_t{5},
+                                          torus.node_count()}) {
+          for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            const std::int64_t attempts = torus.node_count() * 20;
+            Rng fast_rng(seed);
+            Rng reference_rng(seed);
+            const FaultSet fast = random_bounded(torus, r, m, t, target,
+                                                 attempts, fast_rng, source);
+            const FaultSet reference = random_bounded_reference(
+                torus, r, m, t, target, attempts, reference_rng, source);
+            const std::string tag = "r=" + std::to_string(r) + " m=" +
+                                    to_string(m) + " t=" + std::to_string(t) +
+                                    " target=" + std::to_string(target) +
+                                    " seed=" + std::to_string(seed);
+            EXPECT_EQ(fast.sorted(), reference.sorted()) << tag;
+            EXPECT_EQ(fast_rng(), reference_rng()) << tag;
+            EXPECT_FALSE(fast.contains(source)) << tag;
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 3 * 2 * 4 * 2 * 4);
 }
 
 TEST(Placement, IidMatchesProbabilityRoughly) {
