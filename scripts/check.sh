@@ -35,12 +35,12 @@ jobs="$(nproc 2>/dev/null || echo 2)"
 if [[ "${quick}" -eq 1 ]]; then
   # The fast representative subset: round engine and its dispatch contract,
   # torus arithmetic, simulation runner, campaign engine, observability
-  # layer, lying adversary, fault placement, the allocation bounds, the
-  # ignore declarations, the pool slot-view equivalence, and the counter
-  # schema's two readers (journal records, runtime verdict files). (~10% of
-  # full-suite wall time.)
+  # layer, lying adversary, fault placement and the local-bound validator,
+  # the allocation bounds, the ignore declarations, the pool slot-view
+  # equivalence, and the counter schema's two readers (journal records,
+  # runtime verdict files). (~10% of full-suite wall time.)
   ctest --test-dir "${build}" --output-on-failure -j "${jobs}" \
-    -R '^(Network|Torus|Simulation|ThreadPool|Campaign|Counters|RoundTrace|PhaseTimers|Lying|Placement|AllocFreeDelivery|IgnoreMask|PoolEquivalence|Journal|Verdict)'
+    -R '^(Network|Torus|Simulation|ThreadPool|Campaign|Counters|RoundTrace|PhaseTimers|Lying|Placement|LocalBound|AllocFreeDelivery|IgnoreMask|PoolEquivalence|Journal|Verdict)'
 else
   ctest --test-dir "${build}" --output-on-failure -j "${jobs}"
 fi

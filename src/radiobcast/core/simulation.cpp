@@ -109,8 +109,11 @@ std::unique_ptr<NodeBehavior> make_faulty(const SimConfig& cfg,
     case AdversaryKind::kSilent:
       return std::make_unique<SilentBehavior>();
     case AdversaryKind::kLying:
+      // Lies only of classes the honest nodes read: the protocol's standing
+      // classes, read off a one-slot pool.
       return std::make_unique<LyingBehavior>(
-          static_cast<std::uint8_t>(1 - (cfg.value & 1)));
+          static_cast<std::uint8_t>(1 - (cfg.value & 1)),
+          make_honest_pool(cfg, torus, 1)->ignored());
     case AdversaryKind::kCrashAtRound:
       return std::make_unique<CrashAtRoundBehavior>(make_honest(cfg, torus),
                                                     cfg.crash_round);

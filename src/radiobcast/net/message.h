@@ -99,6 +99,8 @@ class MessageClasses {
   constexpr MessageClasses() = default;
 
   static constexpr MessageClasses all() { return MessageClasses(kAllBits); }
+  /// Every COMMITTED.
+  static constexpr MessageClasses committed() { return MessageClasses(1); }
   /// Every HEARD with at least `min_relayers` relayers
   /// (min_relayers <= RelayerChain::kCapacity).
   static constexpr MessageClasses heard_from(std::size_t min_relayers) {
@@ -112,7 +114,7 @@ class MessageClasses {
   }
   /// The one class `msg` belongs to.
   static MessageClasses of(const Message& msg) {
-    return msg.type == MsgType::kCommitted ? MessageClasses(1)
+    return msg.type == MsgType::kCommitted ? committed()
                                            : heard_with(msg.relayers.size());
   }
 

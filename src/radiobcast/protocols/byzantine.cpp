@@ -17,7 +17,28 @@ constexpr std::size_t kMaxRelayers = 3;
 /// is PackedKeySet's empty sentinel.
 constexpr int kLieIndexBits = 21;
 
+/// The delivery classes whose lie falls in `unread`, plus the full chains,
+/// which the depth cap leaves unanswered (it keeps the volume finite).
+MessageClasses unanswered(MessageClasses unread) {
+  const auto is_unread = [&](MessageClasses lie) {
+    return (unread.bits() & lie.bits()) != 0;
+  };
+  MessageClasses out = MessageClasses::heard_from(kMaxRelayers);
+  if (is_unread(MessageClasses::heard_with(1))) {
+    out = out | MessageClasses::committed();
+  }
+  for (std::size_t k = 0; k < kMaxRelayers; ++k) {
+    if (is_unread(MessageClasses::heard_with(k + 1))) {
+      out = out | MessageClasses::heard_with(k);
+    }
+  }
+  return out;
+}
+
 }  // namespace
+
+LyingBehavior::LyingBehavior(std::uint8_t wrong_value, MessageClasses unread)
+    : wrong_value_(wrong_value), unanswered_(unanswered(unread)) {}
 
 void LyingBehavior::on_start(NodeContext& ctx) {
   const std::int64_t nodes = ctx.torus().node_count();
@@ -27,7 +48,7 @@ void LyingBehavior::on_start(NodeContext& ctx) {
                                 " nodes; supported: under 2^21 nodes");
   }
   ctx.broadcast(make_committed(ctx.self(), wrong_value_));
-  ctx.ignore(MessageClasses::heard_from(kMaxRelayers));  // see the depth cap
+  ctx.ignore(unanswered_);
 }
 
 void LyingBehavior::on_receive(NodeContext& ctx, const Envelope& env) {
@@ -36,14 +57,11 @@ void LyingBehavior::on_receive(NodeContext& ctx, const Envelope& env) {
   // HEARD(relayers + [self], origin, wrong value), with no relayers for a
   // COMMITTED. The key comes straight from the envelope, and the lie is
   // built only when the key is new.
+  if ((MessageClasses::of(env.msg).bits() & unanswered_.bits()) != 0) return;
   const bool committed = env.msg.type == MsgType::kCommitted;
   const Coord origin = committed ? env.sender : env.msg.origin;
   RelayerChain chain;
-  if (!committed) {
-    // The depth cap keeps the volume finite.
-    if (env.msg.relayers.size() >= kMaxRelayers) return;
-    chain = env.msg.relayers;
-  }
+  if (!committed) chain = env.msg.relayers;
   const Torus& torus = ctx.torus();
   std::uint64_t key = static_cast<std::uint32_t>(torus.index(origin));
   int shift = kLieIndexBits;

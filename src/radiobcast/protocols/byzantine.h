@@ -15,8 +15,12 @@
 //                       every report with its value flipped, and claims that
 //                       every committer it hears committed the wrong value,
 //                       sending each distinct lie (up to wrap-around) once.
-//                       The safety-critical corner: Theorem 2 predicts it
-//                       can never cause an honest wrong commit.
+//                       It is built against the protocol it attacks and
+//                       forges only lies that protocol's honest nodes read:
+//                       none against crash-flood and CPA, one-relayer lies
+//                       against bv-2hop, every lie against bv-4hop. The
+//                       safety-critical corner: Theorem 2 predicts it can
+//                       never cause an honest wrong commit.
 //  * CrashAtRound     — behaves honestly (delegating to an inner behavior)
 //                       until a given round, then goes permanently silent:
 //                       crash-stop mid-protocol.
@@ -41,9 +45,14 @@ class SilentBehavior final : public NodeBehavior {
 class LyingBehavior final : public NodeBehavior {
  public:
   /// `wrong_value` is the value the adversary pushes (the complement of the
-  /// source's value in the experiments).
-  explicit LyingBehavior(std::uint8_t wrong_value)
-      : wrong_value_(wrong_value) {}
+  /// source's value in the experiments). `unread` is the attacked protocol's
+  /// standing classes (NodePool::ignored()), which its honest nodes drop
+  /// unread from the start. The liar answers a delivery with
+  /// HEARD(relayers + [self], origin, wrong value) — one relayer for a
+  /// COMMITTED, k + 1 for a HEARD with k — only if that lie's class is not
+  /// unread, and declares every delivery class it does not answer. With no
+  /// unread classes it forges every lie.
+  explicit LyingBehavior(std::uint8_t wrong_value, MessageClasses unread = {});
 
   /// Throws std::invalid_argument on a torus of 2^21 or more nodes, whose
   /// node indices do not fit the lie key.
@@ -52,6 +61,9 @@ class LyingBehavior final : public NodeBehavior {
 
  private:
   std::uint8_t wrong_value_;
+  // The delivery classes the liar does not answer: on_start declares them,
+  // and on_receive drops them for hosts that dispatch every class anyway.
+  MessageClasses unanswered_;
   // Every lie sent so far: bounds the liar's volume, not its honesty. Every
   // lie is HEARD(relayers + [liar], origin, wrong value), so its key packs
   // the canonical node index of the origin and of each of the 0-2 relayers

@@ -1,11 +1,16 @@
 #include "radiobcast/protocols/byzantine.h"
 
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "radiobcast/core/analysis.h"
+#include "radiobcast/core/experiment.h"
 #include "radiobcast/core/simulation.h"
+#include "radiobcast/fault/fault_set.h"
 
 namespace rbcast {
 namespace {
@@ -232,6 +237,206 @@ TEST(Lying, ThrowsOnTorusOf2To21Nodes) {
   LyingBehavior b(0);
   EXPECT_THROW(b.on_start(ctx), std::invalid_argument);
   EXPECT_TRUE(backend.queued.empty());
+}
+
+/// What one honest node's handler was handed: the number of deliveries and
+/// a digest of their (round, sender, message) sequence.
+struct DeliveryLog {
+  std::uint64_t count = 0;
+  std::uint64_t digest = 0;
+
+  void add(std::int64_t round, const Envelope& env) {
+    fold(static_cast<std::uint64_t>(round));
+    fold(pack(env.sender));
+    fold(static_cast<std::uint64_t>(env.msg.type) << 8 | env.msg.value);
+    fold(pack(env.msg.origin));
+    fold(env.msg.relayers.size());
+    for (const Coord c : env.msg.relayers) fold(pack(c));
+    ++count;
+  }
+
+  friend bool operator==(const DeliveryLog&, const DeliveryLog&) = default;
+
+ private:
+  static std::uint64_t pack(Coord c) {
+    return static_cast<std::uint64_t>(static_cast<std::uint32_t>(c.x)) << 32 |
+           static_cast<std::uint32_t>(c.y);
+  }
+  void fold(std::uint64_t v) {
+    std::uint64_t x = digest ^ v;
+    digest = splitmix64(x);
+  }
+};
+
+/// Forwards every call to an honest node and logs each delivery it is
+/// handed. The node's own ignore declarations still reach the network, so
+/// the log holds exactly what the honest handler sees.
+class DeliveryRecorder final : public NodeBehavior {
+ public:
+  DeliveryRecorder(std::unique_ptr<NodeBehavior> inner, DeliveryLog& log)
+      : inner_(std::move(inner)), log_(log) {}
+
+  void on_start(NodeContext& ctx) override { inner_->on_start(ctx); }
+  void on_receive(NodeContext& ctx, const Envelope& env) override {
+    log_.add(ctx.round(), env);
+    inner_->on_receive(ctx, env);
+  }
+  void on_round_end(NodeContext& ctx) override { inner_->on_round_end(ctx); }
+  std::optional<std::uint8_t> committed_value() const override {
+    return inner_->committed_value();
+  }
+  std::optional<std::int64_t> commit_round() const override {
+    return inner_->commit_round();
+  }
+
+ private:
+  std::unique_ptr<NodeBehavior> inner_;
+  DeliveryLog& log_;
+};
+
+/// One perfect-channel trial on a per-node network whose honest nodes are
+/// recorded: per node, its delivery log, committed value and commit round.
+struct RecordedTrial {
+  std::vector<DeliveryLog> logs;
+  std::vector<std::optional<std::uint8_t>> values;
+  std::vector<std::optional<std::int64_t>> commit_rounds;
+  Counters counters;
+};
+
+/// Runs `cfg` (adversary kLying) with the liars `make_liar` builds.
+template <typename MakeLiar>
+RecordedTrial run_recorded(const SimConfig& cfg, const FaultSet& faults,
+                           MakeLiar make_liar) {
+  const Torus torus(cfg.width, cfg.height);
+  const Coord source = torus.wrap(cfg.source);
+  RadioNetwork net(torus, cfg.r, cfg.metric, cfg.seed);
+  RecordedTrial out;
+  const auto nodes = static_cast<std::size_t>(torus.node_count());
+  out.logs.resize(nodes);
+  for (const Coord c : torus.all_coords()) {
+    if (c == source) {
+      net.set_behavior(c, make_node_behavior(cfg, torus, NodeRole::kSource));
+    } else if (faults.contains(c)) {
+      net.set_behavior(c, make_liar(torus));
+    } else {
+      net.set_behavior(
+          c, std::make_unique<DeliveryRecorder>(
+                 make_node_behavior(cfg, torus, NodeRole::kHonest),
+                 out.logs[static_cast<std::size_t>(torus.index(c))]));
+    }
+  }
+  net.start();
+  net.run_until_quiescent(default_round_bound(cfg));
+  for (const Coord c : torus.all_coords()) {
+    out.values.push_back(net.committed_value_of(c));
+    out.commit_rounds.push_back(net.commit_round_of(c));
+  }
+  out.counters = net.counters();
+  return out;
+}
+
+TEST(Lying, HonestNodesSeeTheSameDeliveries) {
+  // The liar make_node_behavior builds skips only lies the attacked
+  // protocol's honest nodes drop unread, so each honest handler must be
+  // handed the same deliveries, in the same rounds and order, as against
+  // the liar that forges every lie (the reference), and reach the same
+  // verdict in the same round.
+  int cases = 0;
+  for (const ProtocolKind protocol :
+       {ProtocolKind::kCrashFlood, ProtocolKind::kCpa, ProtocolKind::kBvTwoHop,
+        ProtocolKind::kBvIndirectFlood, ProtocolKind::kBvIndirectEarmarked}) {
+    for (const std::int32_t r : {1, 2}) {
+      const std::int64_t max_t = protocol == ProtocolKind::kCrashFlood
+                                     ? crash_linf_achievable_max(r)
+                                     : byz_linf_achievable_max(r);
+      for (const std::int64_t t : {std::int64_t{1}, max_t}) {
+        for (const PlacementKind placement :
+             {PlacementKind::kRandomBounded,
+              PlacementKind::kCheckerboardStrip}) {
+          SimConfig cfg;
+          cfg.width = cfg.height = 12;
+          cfg.r = r;
+          cfg.t = t;
+          cfg.protocol = protocol;
+          cfg.adversary = AdversaryKind::kLying;
+          cfg.seed = static_cast<std::uint64_t>(100 + cases);
+          const Torus torus(cfg.width, cfg.height);
+          PlacementConfig pc;
+          pc.kind = placement;
+          Rng rng(cfg.seed);
+          const FaultSet faults =
+              make_faults(pc, torus, r, cfg.metric, t, cfg.source, rng);
+          const std::string tag =
+              std::string(to_string(protocol)) + " r=" + std::to_string(r) +
+              " t=" + std::to_string(t) + " " + to_string(placement);
+          ASSERT_FALSE(faults.empty()) << tag;
+          const auto wrong = static_cast<std::uint8_t>(1 - cfg.value);
+          const RecordedTrial reference =
+              run_recorded(cfg, faults, [&](const Torus&) {
+                return std::make_unique<LyingBehavior>(wrong);
+              });
+          const RecordedTrial built =
+              run_recorded(cfg, faults, [&](const Torus& tor) {
+                return make_node_behavior(cfg, tor, NodeRole::kFaulty);
+              });
+          int differing = 0;  // honest nodes with any difference
+          std::string first;
+          for (const Coord c : torus.all_coords()) {
+            if (faults.contains(c)) continue;
+            const auto i = static_cast<std::size_t>(torus.index(c));
+            if (built.logs[i] == reference.logs[i] &&
+                built.values[i] == reference.values[i] &&
+                built.commit_rounds[i] == reference.commit_rounds[i]) {
+              continue;
+            }
+            if (differing++ == 0) {
+              first = to_string(c) + " (" +
+                      std::to_string(built.logs[i].count) + " vs " +
+                      std::to_string(reference.logs[i].count) +
+                      " deliveries)";
+            }
+          }
+          EXPECT_EQ(differing, 0) << tag << ", first at node " << first;
+          if (protocol == ProtocolKind::kBvIndirectFlood ||
+              protocol == ProtocolKind::kBvIndirectEarmarked) {
+            // bv-4hop reads every lie: the liar is unchanged.
+            EXPECT_EQ(built.counters, reference.counters) << tag;
+          }
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 40);
+}
+
+TEST(Lying, L2CpaDiagonalBandsCostOneTransmissionPerNode) {
+  // Two bands of three diagonals on a 60x60 torus at r = 5 (L2): 360 liars,
+  // t = 23. CPA drops every HEARD, so its liars send only their wrong
+  // COMMITTED; forging HEARD chains against it took millions of
+  // transmissions for the same verdict.
+  SimConfig cfg;
+  cfg.width = cfg.height = 60;
+  cfg.r = 5;
+  cfg.metric = Metric::kL2;
+  cfg.protocol = ProtocolKind::kCpa;
+  cfg.adversary = AdversaryKind::kLying;
+  const Torus torus(cfg.width, cfg.height);
+  FaultSet faults;
+  for (const Coord c : torus.all_coords()) {
+    const std::int32_t diagonal = ((c.x - c.y) % 60 + 60) % 60;
+    if ((diagonal >= 15 && diagonal < 18) || (diagonal >= 45 && diagonal < 48)) {
+      faults.add(torus, c);
+    }
+  }
+  ASSERT_EQ(faults.size(), 360u);
+  cfg.t = max_closed_nbd_faults(torus, faults, cfg.r, cfg.metric);
+  EXPECT_EQ(cfg.t, 23);
+  const SimResult result = run_simulation(cfg, faults);
+  EXPECT_EQ(result.wrong_commits, 0);
+  EXPECT_GT(result.correct_commits, 0);
+  EXPECT_LE(result.transmissions,
+            static_cast<std::uint64_t>(torus.node_count()));
 }
 
 TEST(CrashAtRound, HonestUntilCrash) {

@@ -12,6 +12,16 @@
 // output — but first make sure the change is a schema change, not an
 // accidental loss of determinism: the w=1 and w=8 runs must at least agree
 // with each other.
+//
+// The crash_flood_r1, cpa_r1, bv_2hop_r1, bv_2hop_r2 and bv_2hop_r3 digests
+// (JSON, CSV and trace) were re-recorded when the lying adversary began to
+// forge only the lies the attacked protocol's honest nodes read (none against
+// crash-flood and CPA, one-relayer lies against bv-2hop). Their lying cells
+// queue fewer broadcasts, so traffic counters, engine_bytes_peak and round
+// counts moved, and the lossy cells' loss draws shifted with the deliveries.
+// On a perfect channel honest nodes receive the same deliveries in the same
+// order (tests/test_byzantine.cpp, Lying.HonestNodesSeeTheSameDeliveries).
+// The bv-4hop rows, whose liar forges every lie as before, are unchanged.
 
 #include <algorithm>
 #include <filesystem>
@@ -123,17 +133,17 @@ struct GoldenRow {
 // (4r+2 = 14) geometry the HEARD-flood presets build on.
 const GoldenRow kGolden[] = {
     {ProtocolKind::kCrashFlood, 1, 3, 3,
-     "342eff9096f1ba65102a4dad5526bddac079710af4d79cd46155f7e7dc44b4b0",
-     "579a6718884e0cbd4e5a6cd60c98062a0bb782e32efe8f33706b1bce123da578",
-     "102189cc5240713ab49e6fb74e9a17a981d5ed4c02a5b3955408d5f9eff60ddc"},
+     "c9ccd42a0cbb8913ce624cdb8016d05f770abad644fbcb5afc7aa5a19c9e707d",
+     "d07cd545250ad8c2075eb7d148e02ad09cfec87dc70bca61fe964b821c01c49e",
+     "94ef461e16efc5f9c2156098b16bffd94c6801bf2b95a9b5ecac8e8770e7a119"},
     {ProtocolKind::kCpa, 1, 1, 3,
-     "9dbc655b2bd84591d42e4b73e8856e807c19b385b2b891328e809c0051b3a6d3",
-     "f0cf162bdbf39c762780d1793a347019b82854a239ff218f54750dceb8f2bfd6",
-     "20df3a755dac1411923306328f544bedbdcbf59eb35bd7de496b74d6c3dca92b"},
+     "62b9ce080b4132d1f20aeb824e453eb445ca42aeb04698b67d295e433c3e3d9a",
+     "01f34624d88124b35394744f65459a44c25298821161cb96dc3c66fe24cbd60a",
+     "966c08aa3474716c8b469b4da7e58e0b848a948e7387b6665ac60c3c4f204a4c"},
     {ProtocolKind::kBvTwoHop, 1, 1, 3,
-     "7e9ca651796e809e38f8095d3804ce6584f04c347b7fb64d4c016b26e4f300ec",
-     "916d36cef96cb635b286b6236e0b053e2bf67db223114bbaa00c1fc8f6fc7e7b",
-     "249ced1b5baa733926ca02b77c87fb2ea4da4e4ad05811eb3fd7b7863e68b8db"},
+     "301e731d58cd4ab2a81dba66811ac6acacd9d86a3360d96aa181deff32ceae29",
+     "4532ec27325fcde4a04e15a1c8b5d17660d87c4d7f17db50ca54364ed47b747c",
+     "bb95d170b1981de9a2de05855c5f84781ad0e0ff1fc0e332b2f3446aaeb7e1c9"},
     {ProtocolKind::kBvIndirectFlood, 1, 1, 3,
      "ba228b4c71a281f78928ee1c45b7ea122b88e80f750ca4bd328767a75ee105b9",
      "09ce891919a1aad059e4a4605cecfdb9d4dfd0a075d26f6898ca9fa047ad481a",
@@ -145,9 +155,9 @@ const GoldenRow kGolden[] = {
     // r = 2 rows recorded from the pre-incremental (PR 5) engine; the
     // incremental rewrite must reproduce them byte-for-byte.
     {ProtocolKind::kBvTwoHop, 2, 4, 2,
-     "3f03065ffbc81c5fbc2df82f2525e940a680f07d9d81629cbaaae77d93024e24",
-     "820d36c4dd62f0ac693535ae49515e289f45477a9250d38329360489d64f74f2",
-     "8d831c1ab43b66f9c194c65100aee8aae6d626625537e4ff4ec70e1c7531fbe0"},
+     "e2ea505893db0ef11d343ed3383f57128e48d43eff74aec822ffc572b433f07d",
+     "252371ee175cc10714797cd0aca314ceef4e42fb307dcc413dcfa03efb733344",
+     "e70b03630f4868e6e0dfb747699ad699cd0693ce39a00388ed818e90c8cb58b3"},
     {ProtocolKind::kBvIndirectFlood, 2, 4, 2,
      "02f0b6b8f903f44c92329894330babdd6da957181892bf4933650a7086e5aec1",
      "1717c6325caa6b5419b5313a713c3805ad0f50c7982867797141661ed89e4dfc",
@@ -159,9 +169,9 @@ const GoldenRow kGolden[] = {
     // r = 3 (t = byz_linf_achievable_max(3) = 10, torus 14x14): the SoA
     // two-hop pool at the radius the HEARD-flood presets start from.
     {ProtocolKind::kBvTwoHop, 3, 10, 1,
-     "0fa7ce909e2d1ac01dff2c237d72386a36fc80dac6fbfd12d36766c59e05ad4b",
-     "52b616da8502436d461ada39f04dc846322119dba573fe2d976102108c0c2993",
-     "01e42ae8123468c0a394b97daba02cb9db41d3e3abaa2890ab058cd7853afab7"},
+     "1368c877ff2f381b40669bcbd0f2255c79c82af7fe6be496793c75f67dc6115e",
+     "ac0be6e6624125e6eb461410c9df150eb6d2c26581c4da6a126004386f49f17e",
+     "cfb4b3acfb0884b7c601175a9b040f992c4b5f37d1d30ecad2024d5489914708"},
 };
 
 class GoldenDeterminism : public testing::TestWithParam<GoldenRow> {};

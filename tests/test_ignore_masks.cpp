@@ -309,5 +309,53 @@ TEST(IgnoreMask, LyingIgnoresFullChainsAtStart) {
   expect_inert(b, backend, MessageClasses::heard_from(3));
 }
 
+TEST(IgnoreMask, LyingDeclaresWhatTheAttackedProtocolLeavesUnread) {
+  // The liar make_node_behavior builds declares every class whose lie the
+  // protocol's honest nodes drop unread, plus the full chains. Handed one
+  // message of every class anyway, as the runtime hands them, it queues
+  // nothing for a declared class and exactly the reference liar's lie for
+  // every other.
+  struct Row {
+    ProtocolKind protocol;
+    MessageClasses declared;
+  };
+  const Row rows[] = {
+      {ProtocolKind::kCrashFlood, MessageClasses::all()},
+      {ProtocolKind::kCpa, MessageClasses::all()},
+      {ProtocolKind::kBvTwoHop, MessageClasses::heard_from(1)},
+      {ProtocolKind::kBvIndirectFlood, MessageClasses::heard_from(3)},
+      {ProtocolKind::kBvIndirectEarmarked, MessageClasses::heard_from(3)},
+  };
+  for (const Row& row : rows) {
+    SimConfig cfg = config(row.protocol);
+    cfg.adversary = AdversaryKind::kLying;
+    RecordingBackend backend;
+    auto liar = make_node_behavior(cfg, kTorus, NodeRole::kFaulty);
+    NodeContext ctx(backend, kSelf);
+    liar->on_start(ctx);
+    ASSERT_EQ(backend.queued.size(), 1u) << to_string(row.protocol);
+    const auto wrong = static_cast<std::uint8_t>(1 - cfg.value);
+    EXPECT_EQ(backend.queued[0], make_committed(kSelf, wrong))
+        << to_string(row.protocol);
+    expect_inert(*liar, backend, row.declared);
+    for (const Envelope& env : one_of_each_class()) {
+      if ((MessageClasses::of(env.msg).bits() & row.declared.bits()) != 0) {
+        continue;
+      }
+      RecordingBackend reference_backend;
+      NodeContext reference_ctx(reference_backend, kSelf);
+      LyingBehavior reference(wrong);
+      reference.on_receive(reference_ctx, env);
+      ASSERT_EQ(reference_backend.queued.size(), 1u);
+      const std::size_t before = backend.queued.size();
+      liar->on_receive(ctx, env);
+      ASSERT_EQ(backend.queued.size(), before + 1)
+          << to_string(row.protocol) << ": " << to_string(env.msg);
+      EXPECT_EQ(backend.queued.back(), reference_backend.queued[0])
+          << to_string(row.protocol) << ": " << to_string(env.msg);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rbcast
