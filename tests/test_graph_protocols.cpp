@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "radiobcast/grid/torus.h"
+#include "radiobcast/util/rng.h"
+#include "radiobcast/util/sha256.h"
 
 namespace rbcast {
 namespace {
@@ -165,6 +169,99 @@ TEST(Separation, FaultySourceRejected) {
                                     GraphProtocol::kRpa,
                                     GraphAdversary::kSilent, faults),
                std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Recorded results: every GraphSimResult field over a fixed corpus
+// ---------------------------------------------------------------------------
+
+/// Appends one line per (protocol, adversary) run of `g` with all six
+/// GraphSimResult fields, after `label`.
+void append_runs(std::string& out, const std::string& label,
+                 const RadioGraph& g, NodeId source, std::int64_t t,
+                 const GraphFaultSet& faults) {
+  for (const GraphProtocol protocol :
+       {GraphProtocol::kCpa, GraphProtocol::kRpa}) {
+    for (const GraphAdversary adversary :
+         {GraphAdversary::kSilent, GraphAdversary::kLying}) {
+      const auto res =
+          run_graph_simulation(g, source, t, protocol, adversary, faults);
+      out += label;
+      out += protocol == GraphProtocol::kCpa ? " cpa" : " rpa";
+      out += adversary == GraphAdversary::kSilent ? " silent" : " lying";
+      for (const std::int64_t field :
+           {res.honest_nodes, res.correct_commits, res.wrong_commits,
+            res.undecided, res.rounds,
+            static_cast<std::int64_t>(res.transmissions)}) {
+        out += " " + std::to_string(field);
+      }
+      out += "\n";
+    }
+  }
+}
+
+std::string fault_list(const GraphFaultSet& faults) {
+  std::string out = "{";
+  for (std::size_t v = 0; v < faults.size(); ++v) {
+    if (faults[v]) out += " " + std::to_string(v);
+  }
+  return out + " }";
+}
+
+TEST(GraphGolden, ResultsMatchRecordedDigest) {
+  // The corpus: random connected graphs (GraphFuzz's generator, widened to
+  // 6-19 nodes and up to 3n chords) with t in {0, 1, 2} and a random legal
+  // placement; the separation graph under each legal placement; and the
+  // r = 1 torus graph under both metrics, fault-free. Every graph runs under
+  // CPA and RPA against silent and lying faults. Each random graph also
+  // writes a line naming its size, edge count, t and faults, so the digest
+  // pins the corpus as well as the results.
+  std::string lines;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    Rng rng(hash_seeds(0x60D1, seed));
+    const std::int32_t n = 6 + static_cast<std::int32_t>(rng.below(14));
+    RadioGraph g(n);
+    for (NodeId v = 1; v < n; ++v) {
+      g.add_edge(v,
+                 static_cast<NodeId>(rng.below(static_cast<std::uint64_t>(v))));
+    }
+    const auto chords = rng.below(static_cast<std::uint64_t>(3 * n));
+    const auto node = [&] {
+      return static_cast<NodeId>(rng.below(static_cast<std::uint64_t>(n)));
+    };
+    for (std::uint64_t e = 0; e < chords; ++e) {
+      const NodeId a = node();
+      const NodeId b = node();
+      if (a != b) g.add_edge(a, b);
+    }
+    const auto t = static_cast<std::int64_t>(rng.below(3));
+    GraphFaultSet faults(static_cast<std::size_t>(n), false);
+    for (std::int32_t attempt = 0; attempt < n; ++attempt) {
+      const NodeId v = node();
+      if (v == 0) continue;  // the source
+      faults[static_cast<std::size_t>(v)] = true;
+      if (!satisfies_local_bound(g, faults, t)) {
+        faults[static_cast<std::size_t>(v)] = false;
+      }
+    }
+    const std::string label = "random " + std::to_string(seed);
+    lines += label + " n=" + std::to_string(n) +
+             " edges=" + std::to_string(g.edge_count()) +
+             " t=" + std::to_string(t) + " faults=" + fault_list(faults) + "\n";
+    append_runs(lines, label, g, 0, t, faults);
+  }
+  const RadioGraph separation = make_separation_graph();
+  for (const GraphFaultSet& faults : enumerate_legal_placements(
+           separation, kSeparationT, kSeparationSource)) {
+    append_runs(lines, "separation " + fault_list(faults), separation,
+                kSeparationSource, kSeparationT, faults);
+  }
+  for (const bool l2 : {false, true}) {
+    const RadioGraph g = make_torus_graph(10, 10, 1, l2);
+    append_runs(lines, l2 ? "torus l2" : "torus linf", g, 0, 1, no_faults(g));
+  }
+  EXPECT_EQ(sha256_hex(lines),
+            "dc878f9ae602a06aacd92f5abfbd9921ea54270b6389e9cca4429807397074db");
 }
 
 }  // namespace
