@@ -41,6 +41,11 @@ class RadioGraph {
   /// Sorted neighbor ids.
   const std::vector<NodeId>& neighbors(NodeId v) const;
 
+  /// neighbors(v) for every v, by node id.
+  const std::vector<std::vector<NodeId>>& neighbor_lists() const {
+    return adjacency_;
+  }
+
   std::int64_t edge_count() const;
 
   /// True iff every node can reach every other.

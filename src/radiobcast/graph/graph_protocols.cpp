@@ -1,130 +1,100 @@
 #include "radiobcast/graph/graph_protocols.h"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 
+#include "radiobcast/protocols/byzantine.h"
+#include "radiobcast/protocols/pool.h"
+#include "radiobcast/protocols/source.h"
+
 namespace rbcast {
-
-// ---------------------------------------------------------------------------
-// Source
-// ---------------------------------------------------------------------------
-
-void GraphSourceBehavior::on_start(GraphNodeContext& ctx) {
-  ctx.broadcast(GraphMessage{value_, ctx.self(), {}});
-}
-
-// ---------------------------------------------------------------------------
-// CPA
-// ---------------------------------------------------------------------------
-
-void GraphCpaBehavior::commit(GraphNodeContext& ctx, std::uint8_t value) {
-  committed_ = value;
-  ctx.broadcast(GraphMessage{value, ctx.self(), {}});
-}
-
-void GraphCpaBehavior::on_receive(GraphNodeContext& ctx,
-                                  const GraphEnvelope& env) {
-  if (committed_.has_value()) return;
-  if (!env.msg.relayers.empty()) return;  // CPA ignores HEARD traffic
-  if (env.msg.origin != env.sender) return;  // no spoofing
-  if (env.sender == source_) {
-    commit(ctx, env.msg.value);
-    return;
-  }
-  const auto [it, inserted] = first_claim_.emplace(env.sender, env.msg.value);
-  if (!inserted) return;
-  claims_[env.msg.value & 1] += 1;
-  if (claims_[env.msg.value & 1] >= t_ + 1) commit(ctx, env.msg.value);
-}
 
 // ---------------------------------------------------------------------------
 // RPA
 // ---------------------------------------------------------------------------
 
-GraphRpaBehavior::GraphRpaBehavior(std::int64_t t, NodeId source,
-                                   int max_relay_depth)
-    : t_(t), source_(source), max_relay_depth_(max_relay_depth) {}
+GraphRpaBehavior::GraphRpaBehavior(const RadioGraph& graph, std::int64_t t,
+                                   NodeId source)
+    : graph_(graph), t_(t), source_(source) {}
 
-void GraphRpaBehavior::commit(GraphNodeContext& ctx, std::uint8_t value) {
+void GraphRpaBehavior::commit(NodeContext& ctx, std::uint8_t value) {
   if (committed_.has_value()) return;
   committed_ = value;
-  ctx.broadcast(GraphMessage{value, ctx.self(), {}});
+  ctx.note_commit(value);
+  ctx.broadcast(make_committed(ctx.self(), value));
 }
 
-void GraphRpaBehavior::determine(GraphNodeContext& ctx, NodeId origin,
+void GraphRpaBehavior::determine(NodeContext& ctx, NodeId origin,
                                  std::uint8_t value) {
   if (!determined_.insert({origin, value}).second) return;
   evidence_.erase({origin, value});
   // Commit once t+1 determined committers of one value share a neighborhood:
   // bump the counter of every node whose neighborhood contains `origin`.
-  const RadioGraph& graph = ctx.graph();
-  for (const NodeId c : graph.neighbors(origin)) {
+  for (const NodeId c : graph_.neighbors(origin)) {
     auto& count = center_counts_[{c, value}];
     count += 1;
     if (count >= t_ + 1) commit(ctx, value);
   }
 }
 
-void GraphRpaBehavior::on_receive(GraphNodeContext& ctx,
-                                  const GraphEnvelope& env) {
-  if (env.msg.relayers.empty()) {
+void GraphRpaBehavior::on_receive(NodeContext& ctx, const Envelope& env) {
+  if (env.msg.type == MsgType::kCommitted) {
     handle_committed(ctx, env);
   } else {
     handle_heard(ctx, env);
   }
 }
 
-void GraphRpaBehavior::handle_committed(GraphNodeContext& ctx,
-                                        const GraphEnvelope& env) {
+void GraphRpaBehavior::handle_committed(NodeContext& ctx,
+                                        const Envelope& env) {
   if (env.msg.origin != env.sender) return;  // no spoofing
-  const auto [it, inserted] = first_committed_.emplace(env.sender,
-                                                       env.msg.value);
+  const NodeId sender = ctx.torus().index(env.sender);
+  const auto [it, inserted] = first_committed_.emplace(sender, env.msg.value);
   if (!inserted) return;
   const std::uint8_t v = it->second;
-  ctx.broadcast(GraphMessage{v, env.sender, {ctx.self()}});
-  if (env.sender == source_) commit(ctx, v);
-  determine(ctx, env.sender, v);
+  ctx.broadcast(make_heard({ctx.self()}, env.sender, v));
+  if (sender == source_) commit(ctx, v);
+  determine(ctx, sender, v);
 }
 
-void GraphRpaBehavior::handle_heard(GraphNodeContext& ctx,
-                                    const GraphEnvelope& env) {
-  const RadioGraph& graph = ctx.graph();
-  const GraphMessage& msg = env.msg;
-  if (static_cast<int>(msg.relayers.size()) > max_relay_depth_) return;
+void GraphRpaBehavior::handle_heard(NodeContext& ctx, const Envelope& env) {
+  const Message& msg = env.msg;
+  if (msg.relayers.empty() || msg.relayers.size() > kMaxRelayers) return;
   if (msg.relayers.back() != env.sender) return;  // no spoofing
-  const NodeId self = ctx.self();
-  const NodeId origin = msg.origin;
+  const Torus& torus = ctx.torus();
+  const NodeId self = torus.index(ctx.self());
+  const NodeId origin = torus.index(msg.origin);
   if (origin == self) return;
   // Chain plausibility: consecutive adjacency, all distinct, avoids us.
+  std::vector<NodeId> chain;
   NodeId prev = origin;
-  for (const NodeId relayer : msg.relayers) {
+  for (const Coord c : msg.relayers) {
+    const NodeId relayer = torus.index(c);
     if (relayer == origin || relayer == self) return;
-    if (std::count(msg.relayers.begin(), msg.relayers.end(), relayer) != 1) {
-      return;
-    }
-    if (!graph.adjacent(prev, relayer)) return;
+    if (std::find(chain.begin(), chain.end(), relayer) != chain.end()) return;
+    if (!graph_.adjacent(prev, relayer)) return;
+    chain.push_back(relayer);
     prev = relayer;
   }
 
   const std::uint8_t v = msg.value & 1;
   if (!determined_.count({origin, v})) {
     Evidence& ev = evidence_[{origin, v}];
-    if (ev.reports.size() < kMaxReports &&
-        ev.dedup.insert(msg.relayers).second) {
-      ev.reports.push_back(msg.relayers);
+    if (ev.reports.size() < kMaxReports && ev.dedup.insert(chain).second) {
+      ev.reports.push_back(chain);
       dirty_.insert({origin, v});
     }
   }
 
-  if (static_cast<int>(msg.relayers.size()) < max_relay_depth_) {
-    std::vector<NodeId> extended = msg.relayers;
-    extended.push_back(self);
-    ctx.broadcast(GraphMessage{v, origin, std::move(extended)});
+  if (msg.relayers.size() < kMaxRelayers) {
+    RelayerChain extended = msg.relayers;
+    extended.push_back(ctx.self());
+    ctx.broadcast(make_heard(extended, msg.origin, v));
   }
 }
 
-bool GraphRpaBehavior::satisfies_section_v(const RadioGraph& graph,
-                                           const Evidence& evidence) const {
+bool GraphRpaBehavior::satisfies_section_v(const Evidence& evidence) const {
   const auto& reports = evidence.reports;
   const auto n = reports.size();
   if (n == 0) return false;
@@ -167,12 +137,12 @@ bool GraphRpaBehavior::satisfies_section_v(const RadioGraph& graph,
     // Keep the exponential f(S) search tiny; a union this large would need
     // an equally large disjoint family to pass anyway.
     if (union_s.size() > 14) continue;
-    if (max_legal_faults_within(graph, union_s, t_) + 1 <= k) return true;
+    if (max_legal_faults_within(graph_, union_s, t_) + 1 <= k) return true;
   }
   return false;
 }
 
-void GraphRpaBehavior::on_round_end(GraphNodeContext& ctx) {
+void GraphRpaBehavior::on_round_end(NodeContext& ctx) {
   if (dirty_.empty()) return;
   const auto keys = std::vector<std::pair<NodeId, std::uint8_t>>(
       dirty_.begin(), dirty_.end());
@@ -183,33 +153,7 @@ void GraphRpaBehavior::on_round_end(GraphNodeContext& ctx) {
     Evidence& ev = it->second;
     if (ev.reports.size() == ev.evaluated_at) continue;
     ev.evaluated_at = ev.reports.size();
-    if (satisfies_section_v(ctx.graph(), ev)) {
-      determine(ctx, key.first, key.second);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Adversaries
-// ---------------------------------------------------------------------------
-
-void GraphLyingBehavior::on_start(GraphNodeContext& ctx) {
-  ctx.broadcast(GraphMessage{wrong_value_, ctx.self(), {}});
-}
-
-void GraphLyingBehavior::on_receive(GraphNodeContext& ctx,
-                                    const GraphEnvelope& env) {
-  GraphMessage lie;
-  if (env.msg.relayers.empty()) {
-    lie = GraphMessage{wrong_value_, env.sender, {ctx.self()}};
-  } else {
-    if (static_cast<int>(env.msg.relayers.size()) >= max_relay_depth_) return;
-    std::vector<NodeId> chain = env.msg.relayers;
-    chain.push_back(ctx.self());
-    lie = GraphMessage{wrong_value_, env.msg.origin, std::move(chain)};
-  }
-  if (sent_.insert({lie.origin, lie.relayers}).second) {
-    ctx.broadcast(std::move(lie));
+    if (satisfies_section_v(ev)) determine(ctx, key.first, key.second);
   }
 }
 
@@ -226,31 +170,37 @@ GraphSimResult run_graph_simulation(const RadioGraph& graph, NodeId source,
   if (faults[static_cast<std::size_t>(source)]) {
     throw std::invalid_argument("the designated source must be correct");
   }
-  GraphNetwork net(graph);
+  const Adjacency adjacency(graph.neighbor_lists());
+  RadioNetwork net(Torus(graph.node_count(), 1), adjacency, /*seed=*/0);
+  if (protocol == GraphProtocol::kCpa) {
+    net.set_pool(std::make_unique<CpaPool>(ProtocolParams{t, {source, 0}},
+                                           net.torus()));
+  }
   for (NodeId v = 0; v < graph.node_count(); ++v) {
+    const Coord c{v, 0};
     if (v == source) {
-      net.set_behavior(v, std::make_unique<GraphSourceBehavior>(value));
+      net.set_behavior(c, std::make_unique<SourceBehavior>(value));
     } else if (faults[static_cast<std::size_t>(v)]) {
       if (adversary == GraphAdversary::kSilent) {
-        net.set_behavior(v, std::make_unique<GraphSilentBehavior>());
+        net.set_behavior(c, std::make_unique<SilentBehavior>());
       } else {
-        net.set_behavior(v, std::make_unique<GraphLyingBehavior>(
+        net.set_behavior(c, std::make_unique<LyingBehavior>(
                                 static_cast<std::uint8_t>(1 - (value & 1))));
       }
     } else if (protocol == GraphProtocol::kCpa) {
-      net.set_behavior(v, std::make_unique<GraphCpaBehavior>(t, source));
+      net.assign_to_pool(c);
     } else {
-      net.set_behavior(v, std::make_unique<GraphRpaBehavior>(t, source));
+      net.set_behavior(c, std::make_unique<GraphRpaBehavior>(graph, t, source));
     }
   }
   net.start();
   GraphSimResult result;
   result.rounds = net.run_until_quiescent(max_rounds);
-  result.transmissions = net.transmissions();
+  result.transmissions = net.stats().transmissions;
   for (NodeId v = 0; v < graph.node_count(); ++v) {
     if (v == source || faults[static_cast<std::size_t>(v)]) continue;
     result.honest_nodes += 1;
-    const auto committed = net.behavior(v)->committed_value();
+    const auto committed = net.committed_value_of({v, 0});
     if (!committed.has_value()) {
       result.undecided += 1;
     } else if (*committed == value) {

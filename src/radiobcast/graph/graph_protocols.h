@@ -1,13 +1,19 @@
 #pragma once
 // Broadcast protocols on arbitrary radio graphs (Sections III and V).
 //
-//  * GraphCpa — the Certified Propagation Algorithm: source neighbors commit
+// A graph broadcast runs on the torus's round engine, RadioNetwork, over the
+// graph's neighbor lists as its Adjacency: graph node v is Coord{v, 0} on an
+// n x 1 Torus (net/network.h). The source, the silent fault and CPA are the
+// torus's own SourceBehavior, SilentBehavior and CpaPool, and the liar is
+// LyingBehavior forging every lie, with up to three relayers.
+//
+//  * CPA — the Certified Propagation Algorithm: source neighbors commit
 //    directly; everyone else commits on hearing the same value from t+1
 //    distinct neighbors; one re-broadcast. (The simple protocol of [Koo04],
 //    called CPA by [Pelc-Peleg05].)
 //
-//  * GraphRpa — the Relaxed Propagation Algorithm: additionally circulates
-//    HEARD reports (up to a configurable relay depth) and applies the
+//  * GraphRpaBehavior — the Relaxed Propagation Algorithm: additionally
+//    circulates HEARD reports (up to three relayers) and applies the
 //    Section V sufficient condition with full topology knowledge: a decider
 //    reliably determines (origin, v) once it holds a node-disjoint family of
 //    k reported paths whose relayer union S admits at most f(S) <= k-1 legal
@@ -25,54 +31,20 @@
 #include <set>
 #include <vector>
 
-#include "radiobcast/graph/graph_net.h"
+#include "radiobcast/graph/graph.h"
+#include "radiobcast/net/network.h"
 
 namespace rbcast {
 
-/// The designated (correct) source.
-class GraphSourceBehavior final : public GraphBehavior {
+class GraphRpaBehavior final : public NodeBehavior {
  public:
-  explicit GraphSourceBehavior(std::uint8_t value) : value_(value) {}
-  void on_start(GraphNodeContext& ctx) override;
-  void on_receive(GraphNodeContext&, const GraphEnvelope&) override {}
-  std::optional<std::uint8_t> committed_value() const override {
-    return value_;
-  }
+  /// `graph` must outlive the behavior.
+  GraphRpaBehavior(const RadioGraph& graph, std::int64_t t, NodeId source);
 
- private:
-  std::uint8_t value_;
-};
-
-class GraphCpaBehavior final : public GraphBehavior {
- public:
-  GraphCpaBehavior(std::int64_t t, NodeId source) : t_(t), source_(source) {}
-  void on_receive(GraphNodeContext& ctx, const GraphEnvelope& env) override;
+  void on_receive(NodeContext& ctx, const Envelope& env) override;
+  void on_round_end(NodeContext& ctx) override;
   std::optional<std::uint8_t> committed_value() const override {
     return committed_;
-  }
-
- private:
-  void commit(GraphNodeContext& ctx, std::uint8_t value);
-
-  std::int64_t t_;
-  NodeId source_;
-  std::optional<std::uint8_t> committed_;
-  std::map<NodeId, std::uint8_t> first_claim_;
-  std::int64_t claims_[2] = {0, 0};
-};
-
-class GraphRpaBehavior final : public GraphBehavior {
- public:
-  GraphRpaBehavior(std::int64_t t, NodeId source, int max_relay_depth = 3);
-
-  void on_receive(GraphNodeContext& ctx, const GraphEnvelope& env) override;
-  void on_round_end(GraphNodeContext& ctx) override;
-  std::optional<std::uint8_t> committed_value() const override {
-    return committed_;
-  }
-
-  std::int64_t determinations() const {
-    return static_cast<std::int64_t>(determined_.size());
   }
 
  private:
@@ -82,16 +54,16 @@ class GraphRpaBehavior final : public GraphBehavior {
     std::size_t evaluated_at = 0;
   };
 
-  void handle_committed(GraphNodeContext& ctx, const GraphEnvelope& env);
-  void handle_heard(GraphNodeContext& ctx, const GraphEnvelope& env);
-  void determine(GraphNodeContext& ctx, NodeId origin, std::uint8_t value);
-  void commit(GraphNodeContext& ctx, std::uint8_t value);
-  bool satisfies_section_v(const RadioGraph& graph,
-                           const Evidence& evidence) const;
+  void handle_committed(NodeContext& ctx, const Envelope& env);
+  void handle_heard(NodeContext& ctx, const Envelope& env);
+  void determine(NodeContext& ctx, NodeId origin, std::uint8_t value);
+  void commit(NodeContext& ctx, std::uint8_t value);
+  bool satisfies_section_v(const Evidence& evidence) const;
 
+  const RadioGraph& graph_;
   std::int64_t t_;
   NodeId source_;
-  int max_relay_depth_;
+  static constexpr std::size_t kMaxRelayers = 3;  // "up to three"
   /// Evidence kept per (origin, value); bounded to keep the exponential
   /// disjoint-subfamily search tiny (sound: dropping reports only delays).
   static constexpr std::size_t kMaxReports = 12;
@@ -101,26 +73,6 @@ class GraphRpaBehavior final : public GraphBehavior {
   std::map<std::pair<NodeId, std::uint8_t>, Evidence> evidence_;
   std::set<std::pair<NodeId, std::uint8_t>> dirty_;
   std::map<std::pair<NodeId, std::uint8_t>, std::int64_t> center_counts_;
-};
-
-/// Silent (crashed-from-start) faulty node.
-class GraphSilentBehavior final : public GraphBehavior {
- public:
-  void on_receive(GraphNodeContext&, const GraphEnvelope&) override {}
-};
-
-/// Byzantine liar: announces the wrong value and flips every report.
-class GraphLyingBehavior final : public GraphBehavior {
- public:
-  explicit GraphLyingBehavior(std::uint8_t wrong_value, int max_relay_depth = 3)
-      : wrong_value_(wrong_value), max_relay_depth_(max_relay_depth) {}
-  void on_start(GraphNodeContext& ctx) override;
-  void on_receive(GraphNodeContext& ctx, const GraphEnvelope& env) override;
-
- private:
-  std::uint8_t wrong_value_;
-  int max_relay_depth_;
-  std::set<std::pair<NodeId, std::vector<NodeId>>> sent_;
 };
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@
 namespace rbcast {
 
 Adjacency::Adjacency(const Torus& torus, const NeighborhoodTable& table)
-    : degree_(static_cast<std::int32_t>(table.size())) {
+    : node_count_(static_cast<std::int32_t>(torus.node_count())),
+      degree_(static_cast<std::int32_t>(table.size())) {
   const std::int64_t n = torus.node_count();
   receiver_index_.reserve(static_cast<std::size_t>(n) *
                           static_cast<std::size_t>(degree_));
@@ -18,6 +19,18 @@ Adjacency::Adjacency(const Torus& torus, const NeighborhoodTable& table)
       receiver_index_.push_back(torus.index(c + o));
     }
   }
+}
+
+Adjacency::Adjacency(const std::vector<std::vector<std::int32_t>>& rows)
+    : node_count_(static_cast<std::int32_t>(rows.size())),
+      degree_(rows.empty() ? 0 : static_cast<std::int32_t>(rows[0].size())) {
+  row_start_.push_back(0);
+  for (const std::vector<std::int32_t>& row : rows) {
+    receiver_index_.insert(receiver_index_.end(), row.begin(), row.end());
+    row_start_.push_back(receiver_index_.size());
+    if (row.size() != static_cast<std::size_t>(degree_)) degree_ = -1;
+  }
+  if (degree_ >= 0) row_start_ = std::vector<std::size_t>();  // implicit
 }
 
 const Adjacency& Adjacency::get(const Torus& torus,

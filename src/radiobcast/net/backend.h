@@ -22,7 +22,6 @@
 #include <optional>
 
 #include "radiobcast/grid/coord.h"
-#include "radiobcast/grid/metric.h"
 #include "radiobcast/grid/torus.h"
 #include "radiobcast/net/message.h"
 #include "radiobcast/util/rng.h"
@@ -42,8 +41,6 @@ class BroadcastBackend {
   virtual ~BroadcastBackend() = default;
 
   virtual const Torus& torus() const = 0;
-  virtual std::int32_t radius() const = 0;
-  virtual Metric metric() const = 0;
   /// Current round under the backend's round structure. The simulator
   /// advances it per run_round; the runtime's synchronizer maps it onto real
   /// time (same numbering, so commit rounds are comparable across backends).
@@ -75,8 +72,6 @@ class NodeContext {
 
   Coord self() const { return self_; }
   const Torus& torus() const { return net_->torus(); }
-  std::int32_t radius() const { return net_->radius(); }
-  Metric metric() const { return net_->metric(); }
   std::int64_t round() const { return net_->round(); }
   Rng& rng() { return net_->rng(); }
 

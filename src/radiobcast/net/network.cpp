@@ -14,17 +14,29 @@ std::int32_t checked_radius(std::int32_t r) {
   return r;
 }
 
+const Adjacency& checked_adjacency(const Torus& torus,
+                                   const Adjacency& adjacency) {
+  if (adjacency.node_count() != torus.node_count()) {
+    throw std::invalid_argument("adjacency rows do not match the torus");
+  }
+  return adjacency;
+}
+
 }  // namespace
 
 RadioNetwork::RadioNetwork(Torus torus, std::int32_t r, Metric metric,
                            std::uint64_t seed)
+    : RadioNetwork(torus,
+                   Adjacency::get(torus, NeighborhoodTable::get(
+                                             checked_radius(r), metric)),
+                   seed) {}
+
+RadioNetwork::RadioNetwork(Torus torus, const Adjacency& adjacency,
+                           std::uint64_t seed)
     : torus_(std::move(torus)),
-      r_(checked_radius(r)),
-      metric_(metric),
       rng_(seed),
       channel_(std::make_unique<PerfectChannel>()),
-      table_(NeighborhoodTable::get(r, metric)),
-      adjacency_(Adjacency::get(torus_, table_)),
+      adjacency_(checked_adjacency(torus_, adjacency)),
       node_coords_(torus_.all_coords()),
       behaviors_(static_cast<std::size_t>(torus_.node_count())),
       node_flags_(static_cast<std::size_t>(torus_.node_count()), 0),
@@ -205,8 +217,7 @@ void RadioNetwork::start() {
   fixed_state_bytes_ =
       n * (sizeof(Coord) + sizeof(std::uint64_t) +
            sizeof(std::unique_ptr<NodeBehavior>) + sizeof(std::uint8_t)) +
-      n * static_cast<std::uint64_t>(adjacency_.degree()) *
-          sizeof(std::int32_t) +
+      adjacency_.size() * sizeof(std::int32_t) +
       sweep_nodes_.size() * sizeof(std::int32_t);
   update_engine_bytes();
 }

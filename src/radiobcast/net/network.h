@@ -2,8 +2,9 @@
 // Synchronous radio network simulator implementing the paper's "reliable
 // local broadcast" assumption (Section II):
 //
-//  * a message broadcast by a node is heard by *all* nodes within distance r
-//    (no loss, no collisions — the model assumes a TDMA schedule);
+//  * a message broadcast by a node is heard by *all* its neighbors in the
+//    radio graph — on the torus, every node within distance r (no loss, no
+//    collisions — the model assumes a TDMA schedule);
 //  * receivers learn the true transmitter identity (no address spoofing);
 //  * per-sender FIFO order is preserved for all receivers alike.
 //
@@ -12,6 +13,14 @@
 // sender-by-sender in node-index order and, per sender, in send order — a
 // deterministic serialization of the TDMA schedule. The simulation is fully
 // deterministic given the seed.
+//
+// Any radio graph runs here, not only the torus: the receivers come from an
+// Adjacency, and node identity stays a Coord. Graph node v is Coord{v, 0}
+// on an n x 1 Torus, whose wrap() and index() are the identity on canonical
+// ids, so Message, Envelope, traces and every torus byte are the same types
+// and bytes for both (graph/graph_protocols.h). A behavior hosted on a graph
+// may use only the torus's wrap(), index() and node_count(): delta() and
+// within() describe grid geometry the graph does not have.
 
 #include <array>
 #include <cstdint>
@@ -49,6 +58,13 @@ struct TrafficStats {
 /// contract and runtime/node.h for the networked sibling).
 class RadioNetwork final : public BroadcastBackend {
  public:
+  /// Transmissions by node i reach the nodes adjacency.receivers(i) lists;
+  /// `adjacency` must outlive the network and have one row per torus node
+  /// (std::invalid_argument otherwise).
+  RadioNetwork(Torus torus, const Adjacency& adjacency, std::uint64_t seed);
+  /// The torus radio graph: every node within distance r under `metric`
+  /// (r >= 1) hears a transmission. Its adjacency is the cached
+  /// Adjacency::get.
   RadioNetwork(Torus torus, std::int32_t r, Metric metric, std::uint64_t seed);
   RadioNetwork(RadioNetwork&&) = default;
   /// Hands the message buffers' capacity to this thread's spare, where the
@@ -56,8 +72,6 @@ class RadioNetwork final : public BroadcastBackend {
   ~RadioNetwork() override;
 
   const Torus& torus() const override { return torus_; }
-  std::int32_t radius() const override { return r_; }
-  Metric metric() const override { return metric_; }
   std::int64_t round() const override { return round_; }
   Rng& rng() override { return rng_; }
 
@@ -171,8 +185,6 @@ class RadioNetwork final : public BroadcastBackend {
   static constexpr int kIgnoreShift = 1;
 
   Torus torus_;
-  std::int32_t r_;
-  Metric metric_;
   Rng rng_;
   std::int64_t round_ = 0;
   bool started_ = false;
@@ -181,11 +193,9 @@ class RadioNetwork final : public BroadcastBackend {
   std::unique_ptr<ChannelModel> channel_;
   bool channel_always_delivers_ = true;  // cached channel_->always_delivers()
 
-  // Hot-path precomputation (docs/PERF.md): the neighborhood table is
-  // resolved once (no per-transmission mutex/map lookup), the CSR fan-out
-  // maps sender index -> receiver indices, and node_coords_ inverts dense
-  // indices back to canonical coordinates with one array read.
-  const NeighborhoodTable& table_;
+  // Hot-path precomputation (docs/PERF.md): the CSR fan-out maps sender
+  // index -> receiver indices, and node_coords_ inverts dense indices back
+  // to canonical coordinates with one array read.
   const Adjacency& adjacency_;
   std::vector<Coord> node_coords_;
 

@@ -45,7 +45,6 @@
 
 // Arbitrary radio graphs (Sections III and V).
 #include "radiobcast/graph/graph.h"            // IWYU pragma: export
-#include "radiobcast/graph/graph_net.h"        // IWYU pragma: export
 #include "radiobcast/graph/graph_protocols.h"  // IWYU pragma: export
 
 // Experiment drivers and analysis.

@@ -135,8 +135,6 @@ class RuntimeNode final : public BroadcastBackend {
 
   // BroadcastBackend:
   const Torus& torus() const override { return torus_; }
-  std::int32_t radius() const override { return opts_.sim.r; }
-  Metric metric() const override { return opts_.sim.metric; }
   std::int64_t round() const override { return round_; }
   Rng& rng() override { return rng_; }
   void record_commit(Coord node, std::uint8_t value) override;

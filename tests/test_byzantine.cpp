@@ -118,8 +118,6 @@ class QueueRecorder final : public BroadcastBackend {
   explicit QueueRecorder(Torus torus = Torus(12, 12)) : torus_(torus) {}
 
   const Torus& torus() const override { return torus_; }
-  std::int32_t radius() const override { return 1; }
-  Metric metric() const override { return Metric::kLInf; }
   std::int64_t round() const override { return 0; }
   Rng& rng() override { return rng_; }
   void queue_broadcast(Coord, Message msg) override { queued.push_back(msg); }

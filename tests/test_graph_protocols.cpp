@@ -5,6 +5,8 @@
 #include <string>
 
 #include "radiobcast/grid/torus.h"
+#include "radiobcast/protocols/pool.h"
+#include "radiobcast/protocols/source.h"
 #include "radiobcast/util/rng.h"
 #include "radiobcast/util/sha256.h"
 
@@ -16,14 +18,15 @@ GraphFaultSet no_faults(const RadioGraph& g) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine basics
+// The round engine on a graph: node v is Coord{v, 0} on an n x 1 torus
 // ---------------------------------------------------------------------------
 
 TEST(GraphNetwork, RequiresBehaviors) {
   RadioGraph g(3);
   g.add_edge(0, 1);
   g.add_edge(1, 2);
-  GraphNetwork net(g);
+  const Adjacency adjacency(g.neighbor_lists());
+  RadioNetwork net(Torus(g.node_count(), 1), adjacency, 1);
   EXPECT_THROW(net.start(), std::logic_error);
 }
 
@@ -31,16 +34,17 @@ TEST(GraphNetwork, BroadcastReachesGraphNeighborsOnly) {
   RadioGraph g(4);
   g.add_edge(0, 1);
   g.add_edge(0, 2);
-  GraphNetwork net(g);
-  net.set_behavior(0, std::make_unique<GraphSourceBehavior>(1));
-  for (NodeId v = 1; v < 4; ++v) {
-    net.set_behavior(v, std::make_unique<GraphCpaBehavior>(0, 0));
-  }
+  const Adjacency adjacency(g.neighbor_lists());
+  RadioNetwork net(Torus(g.node_count(), 1), adjacency, 1);
+  net.set_pool(std::make_unique<CpaPool>(ProtocolParams{0, {0, 0}},
+                                         net.torus()));
+  net.set_behavior({0, 0}, std::make_unique<SourceBehavior>(1));
+  for (NodeId v = 1; v < 4; ++v) net.assign_to_pool({v, 0});
   net.start();
   net.run_until_quiescent(10);
-  EXPECT_TRUE(net.behavior(1)->committed_value().has_value());
-  EXPECT_TRUE(net.behavior(2)->committed_value().has_value());
-  EXPECT_FALSE(net.behavior(3)->committed_value().has_value());  // unreachable
+  EXPECT_TRUE(net.committed_value_of({1, 0}).has_value());
+  EXPECT_TRUE(net.committed_value_of({2, 0}).has_value());
+  EXPECT_FALSE(net.committed_value_of({3, 0}).has_value());  // unreachable
 }
 
 // ---------------------------------------------------------------------------

@@ -30,8 +30,6 @@ constexpr Coord kSelf{5, 5};  // a direct neighbor of the source
 class RecordingBackend final : public BroadcastBackend {
  public:
   const Torus& torus() const override { return kTorus; }
-  std::int32_t radius() const override { return kR; }
-  Metric metric() const override { return Metric::kLInf; }
   std::int64_t round() const override { return now; }
   Rng& rng() override { return rng_; }
   void queue_broadcast(Coord, Message msg) override { queued.push_back(msg); }
