@@ -34,13 +34,14 @@ cmake --build "${build}" -j
 jobs="$(nproc 2>/dev/null || echo 2)"
 if [[ "${quick}" -eq 1 ]]; then
   # The fast representative subset: round engine and its dispatch contract,
-  # torus arithmetic, simulation runner, campaign engine, observability
-  # layer, lying adversary, fault placement and the local-bound validator,
-  # the allocation bounds, the ignore declarations, the pool slot-view
-  # equivalence, and the counter schema's two readers (journal records,
-  # runtime verdict files). (~10% of full-suite wall time.)
+  # its adjacency rows and the graph runs it hosts, torus arithmetic,
+  # simulation runner, campaign engine, observability layer, lying
+  # adversary, fault placement and the local-bound validator, the allocation
+  # bounds, the ignore declarations, the pool slot-view equivalence, and the
+  # counter schema's two readers (journal records, runtime verdict files).
+  # (~10% of full-suite wall time.)
   ctest --test-dir "${build}" --output-on-failure -j "${jobs}" \
-    -R '^(Network|Torus|Simulation|ThreadPool|Campaign|Counters|RoundTrace|PhaseTimers|Lying|Placement|LocalBound|AllocFreeDelivery|IgnoreMask|PoolEquivalence|Journal|Verdict)'
+    -R '^(Network|Adjacency|GraphNetwork|GraphCpa|GraphRpa|GraphGolden|Separation|RadioGraph|TorusGraph|Torus|Simulation|ThreadPool|Campaign|Counters|RoundTrace|PhaseTimers|Lying|Placement|LocalBound|AllocFreeDelivery|IgnoreMask|PoolEquivalence|Journal|Verdict)'
 else
   ctest --test-dir "${build}" --output-on-failure -j "${jobs}"
 fi

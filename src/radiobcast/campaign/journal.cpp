@@ -206,12 +206,6 @@ std::uint64_t campaign_fingerprint(const std::vector<CampaignCell>& cells) {
     h = mix(h, static_cast<std::uint64_t>(sim.deadline_ms));
     const PlacementConfig& p = cell.placement;
     h = mix(h, static_cast<std::uint64_t>(p.kind));
-    h = mix(h, p.strip_positions.size());
-    for (const std::int32_t x : p.strip_positions) {
-      h = mix(h, static_cast<std::uint64_t>(x));
-    }
-    h = mix(h, static_cast<std::uint64_t>(p.strip_width));
-    h = mix(h, static_cast<std::uint64_t>(p.puncture_period));
     h = mix(h, static_cast<std::uint64_t>(p.random_target));
     h = mix_double(h, p.iid_p);
     h = mix(h, static_cast<std::uint64_t>(p.trim));

@@ -37,7 +37,7 @@ struct CampaignCell {
 /// vectors mean "keep the base value"; non-empty ones are swept in order.
 struct CampaignSpec {
   SimConfig base;            // values for everything not swept
-  PlacementConfig placement; // placement knobs (iid_p, trim, strips, ...)
+  PlacementConfig placement; // placement knobs (kind, iid_p, trim, ...)
 
   std::vector<ProtocolKind> protocols;
   std::vector<AdversaryKind> adversaries;

@@ -39,14 +39,9 @@ void merge_faults(FaultSet& into, const Torus& torus, const FaultSet& from) {
 FaultSet make_faults(const PlacementConfig& placement, const Torus& torus,
                      std::int32_t r, Metric m, std::int64_t t, Coord source,
                      Rng& rng) {
-  const std::int32_t width =
-      placement.strip_width > 0 ? placement.strip_width : r;
-  const std::int32_t period =
-      placement.puncture_period > 0 ? placement.puncture_period : 2 * r + 1;
-  std::vector<std::int32_t> positions = placement.strip_positions;
-  if (positions.empty()) {
-    positions = {torus.width() / 4, 3 * torus.width() / 4};
-  }
+  // Strips r wide at x = W/4 and 3W/4; a punctured strip loses one node
+  // every 2r + 1 rows.
+  const std::int32_t positions[] = {torus.width() / 4, 3 * torus.width() / 4};
 
   FaultSet out;
   switch (placement.kind) {
@@ -54,19 +49,19 @@ FaultSet make_faults(const PlacementConfig& placement, const Torus& torus,
       break;
     case PlacementKind::kFullStrip:
       for (const std::int32_t x : positions) {
-        merge_faults(out, torus, full_strip(torus, x, width, source));
+        merge_faults(out, torus, full_strip(torus, x, r, source));
       }
       break;
     case PlacementKind::kPuncturedStrip:
       for (const std::int32_t x : positions) {
         merge_faults(out, torus,
-                     punctured_strip(torus, x, width, period, source));
+                     punctured_strip(torus, x, r, 2 * r + 1, source));
       }
       break;
     case PlacementKind::kCheckerboardStrip:
       for (const std::int32_t x : positions) {
-        merge_faults(out, torus, checkerboard_strip(torus, x, width,
-                                                    /*parity=*/0, source));
+        merge_faults(out, torus,
+                     checkerboard_strip(torus, x, r, /*parity=*/0, source));
       }
       break;
     case PlacementKind::kRandomBounded: {

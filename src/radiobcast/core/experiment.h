@@ -7,13 +7,13 @@
 // them half a torus apart keeps every closed neighborhood inside at most one
 // strip, leaving the per-neighborhood fault count identical to the single-
 // strip construction. All strip placements here therefore instantiate the
-// pattern at each of the configured strip columns (default: width/4 and
-// 3*width/4, enclosing the region opposite the source).
+// pattern at x = width/4 and x = 3*width/4, enclosing the region opposite
+// the source. Each strip is r columns wide, and a punctured strip loses one
+// node every 2r+1 rows.
 
 #include <cstdint>
 #include <optional>
 #include <string_view>
-#include <vector>
 
 #include "radiobcast/core/simulation.h"
 #include "radiobcast/fault/fault_set.h"
@@ -24,7 +24,7 @@ namespace rbcast {
 enum class PlacementKind : std::uint8_t {
   kNone,               // no faults
   kFullStrip,          // width-r strips, all rows (Theorem 4 construction)
-  kPuncturedStrip,     // strips with one node removed per `period` rows
+  kPuncturedStrip,     // strips with one node removed per 2r+1 rows
   kCheckerboardStrip,  // half-density strips (Koo's Fig 13 arrangement)
   kRandomBounded,      // uniform random respecting the local bound t
   kIid,                // each node faulty with probability iid_p
@@ -37,11 +37,7 @@ std::optional<PlacementKind> placement_from_string(std::string_view name);
 
 struct PlacementConfig {
   PlacementKind kind = PlacementKind::kNone;
-  /// Strip x-positions; empty means {width/4, 3*width/4}.
-  std::vector<std::int32_t> strip_positions;
-  std::int32_t strip_width = 0;      // 0 = r
-  std::int32_t puncture_period = 0;  // 0 = 2r+1
-  std::int64_t random_target = -1;   // -1 = as many as fit (bounded attempts)
+  std::int64_t random_target = -1;  // -1 = as many as fit (bounded attempts)
   double iid_p = 0.0;
   /// Greedily remove faults until the local bound t holds. Lets over-budget
   /// patterns (e.g. a checkerboard at t below its density) act as "densest

@@ -56,7 +56,8 @@ struct Counters {
   /// the synchronous simulator. Unlike the simulator counters these are NOT
   /// deterministic — retransmissions and barrier waits depend on real packet
   /// timing — but they remain merge-exact integer sums.
-  /// UDP datagrams handed to the transport (data + ack packets alike).
+  /// DATA datagrams handed to the transport, retransmissions included; ack
+  /// datagrams are not counted.
   std::uint64_t packets_sent = 0;
   /// Datagrams that carried at least one retransmitted (timed-out) message.
   std::uint64_t packets_retransmitted = 0;

@@ -32,19 +32,6 @@ TEST(MakeFaults, DefaultStripPositionsAreTwoStrips) {
   EXPECT_FALSE(f.contains({10, 10}));
 }
 
-TEST(MakeFaults, CustomStripPositions) {
-  const Torus torus(20, 20);
-  Rng rng(1);
-  PlacementConfig placement;
-  placement.kind = PlacementKind::kFullStrip;
-  placement.strip_positions = {2};
-  placement.strip_width = 1;
-  placement.trim = false;
-  const FaultSet f =
-      make_faults(placement, torus, 2, Metric::kLInf, 10, {0, 0}, rng);
-  EXPECT_EQ(f.size(), 20u);
-}
-
 TEST(MakeFaults, TrimEnforcesBudget) {
   const Torus torus(20, 20);
   Rng rng(1);

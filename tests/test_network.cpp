@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <vector>
+
+#include "radiobcast/graph/graph.h"
+#include "radiobcast/protocols/byzantine.h"
+#include "radiobcast/protocols/pool.h"
+#include "radiobcast/protocols/source.h"
+#include "radiobcast/util/rng.h"
 
 namespace rbcast {
 namespace {
@@ -419,6 +426,98 @@ TEST(Network, OnRoundEndCalledForEveryNode) {
 TEST(Network, RejectsRadiusBelowOne) {
   EXPECT_THROW(RadioNetwork(Torus(6, 6), 0, Metric::kLInf, 1),
                std::logic_error);
+}
+
+// ---------------------------------------------------------------------------
+// Adjacency rows of any shape, through the delivery loop
+// ---------------------------------------------------------------------------
+
+TEST(Adjacency, IrregularRowsComeBackInOrder) {
+  Rng rng(3);
+  std::vector<std::vector<std::int32_t>> rows(40);
+  std::size_t total = 0;
+  for (std::vector<std::int32_t>& row : rows) {
+    const std::uint64_t length = rng.below(9);  // some rows stay empty
+    for (std::uint64_t k = 0; k < length; ++k) {
+      row.push_back(static_cast<std::int32_t>(rng.below(40)));
+    }
+    total += row.size();
+  }
+  const Adjacency adjacency(rows);
+  EXPECT_EQ(adjacency.degree(), -1);
+  EXPECT_EQ(adjacency.node_count(), 40);
+  EXPECT_EQ(adjacency.size(), total);
+  for (std::int32_t v = 0; v < 40; ++v) {
+    const auto got = adjacency.receivers(v);
+    EXPECT_EQ(std::vector<std::int32_t>(got.begin(), got.end()),
+              rows[static_cast<std::size_t>(v)])
+        << "row " << v;
+  }
+}
+
+TEST(Adjacency, TorusRowsAsListsMatchTorusBuild) {
+  const Torus torus(9, 7);
+  for (const Metric m : {Metric::kLInf, Metric::kL2}) {
+    const Adjacency built(torus, NeighborhoodTable::get(2, m));
+    std::vector<std::vector<std::int32_t>> rows;
+    for (std::int32_t v = 0; v < torus.node_count(); ++v) {
+      const auto row = built.receivers(v);
+      rows.emplace_back(row.begin(), row.end());
+    }
+    const Adjacency from_rows(rows);
+    EXPECT_EQ(from_rows.degree(), built.degree());
+    EXPECT_EQ(from_rows.node_count(), built.node_count());
+    EXPECT_EQ(from_rows.size(), built.size());
+    for (std::int32_t v = 0; v < torus.node_count(); ++v) {
+      EXPECT_TRUE(std::ranges::equal(from_rows.receivers(v),
+                                     built.receivers(v)))
+          << to_string(m) << " row " << v;
+    }
+  }
+}
+
+TEST(Adjacency, GraphRunDeliversEachTransmissionToEveryNeighbor) {
+  // A random connected graph of irregular degree, flooded by CPA (t = 1)
+  // with liars among the nodes: over a perfect channel each transmission
+  // reaches every neighbor of its sender once.
+  Rng rng(7);
+  const std::int32_t n = 24;
+  RadioGraph g(n);
+  const auto node = [&](std::int32_t bound) {
+    return static_cast<NodeId>(rng.below(static_cast<std::uint64_t>(bound)));
+  };
+  for (NodeId v = 1; v < n; ++v) g.add_edge(v, node(v));
+  for (std::int32_t e = 0; e < 2 * n; ++e) {
+    const NodeId a = node(n);
+    const NodeId b = node(n);
+    if (a != b) g.add_edge(a, b);
+  }
+  const Adjacency adjacency(g.neighbor_lists());
+  ASSERT_EQ(adjacency.degree(), -1);
+  EXPECT_THROW(RadioNetwork(Torus(n + 1, 1), adjacency, 1),
+               std::invalid_argument);
+
+  RadioNetwork net(Torus(n, 1), adjacency, 1);
+  net.set_pool(std::make_unique<CpaPool>(ProtocolParams{1, {0, 0}},
+                                         net.torus()));
+  net.set_behavior({0, 0}, std::make_unique<SourceBehavior>(1));
+  for (NodeId v = 1; v < n; ++v) {
+    if (v % 7 == 3) {
+      net.set_behavior({v, 0}, std::make_unique<LyingBehavior>(0));
+    } else {
+      net.assign_to_pool({v, 0});
+    }
+  }
+  net.start();
+  net.run_until_quiescent(100);
+  ASSERT_TRUE(net.quiescent());
+  std::uint64_t expected = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    expected += net.transmissions_of({v, 0}) * g.neighbors(v).size();
+  }
+  EXPECT_GT(net.counters().heard_queued, 0u);  // the liars' lies went out
+  EXPECT_EQ(net.counters().envelopes_delivered, expected);
+  EXPECT_EQ(net.counters().envelopes_dropped, 0u);
 }
 
 }  // namespace

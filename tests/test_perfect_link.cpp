@@ -124,6 +124,9 @@ TEST(PerfectLink, DeliversInOrderOverCleanTransport) {
   // kMaxBatch messages ride per datagram: 100 messages need only 13 packets.
   EXPECT_EQ(pair.a.stats().packets_sent,
             (kCount + kMaxBatch - 1) / kMaxBatch);
+  // packets_sent counts DATA datagrams only: b sent nothing but the acks
+  // that a's all_acked() needed.
+  EXPECT_EQ(pair.b.stats().packets_sent, 0u);
 }
 
 TEST(PerfectLink, NoLossNoDupFifoUnderDropDuplicateReorder) {
