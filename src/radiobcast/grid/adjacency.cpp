@@ -3,6 +3,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <tuple>
 
 namespace rbcast {
@@ -26,6 +27,11 @@ Adjacency::Adjacency(const std::vector<std::vector<std::int32_t>>& rows)
       degree_(rows.empty() ? 0 : static_cast<std::int32_t>(rows[0].size())) {
   row_start_.push_back(0);
   for (const std::vector<std::int32_t>& row : rows) {
+    for (const std::int32_t receiver : row) {
+      if (receiver < 0 || receiver >= node_count_) {
+        throw std::invalid_argument("adjacency row entry out of range");
+      }
+    }
     receiver_index_.insert(receiver_index_.end(), row.begin(), row.end());
     row_start_.push_back(receiver_index_.size());
     if (row.size() != static_cast<std::size_t>(degree_)) degree_ = -1;

@@ -32,6 +32,7 @@ class Adjacency {
   Adjacency(const Torus& torus, const NeighborhoodTable& table);
 
   /// Row v holds the receivers of node v's transmissions, in delivery order.
+  /// Throws std::invalid_argument on an entry outside [0, rows.size()).
   explicit Adjacency(const std::vector<std::vector<std::int32_t>>& rows);
 
   /// Process-wide cached table for (torus dims, table radius, table metric).
@@ -44,6 +45,7 @@ class Adjacency {
   /// torus); -1 otherwise.
   std::int32_t degree() const { return degree_; }
 
+  /// Rows, one per node.
   std::int32_t node_count() const { return node_count_; }
 
   /// Receiver entries over all rows.

@@ -5,6 +5,8 @@
 #include <utility>
 #include <vector>
 
+#include "radiobcast/grid/neighborhood.h"
+
 namespace rbcast {
 
 namespace {

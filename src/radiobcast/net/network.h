@@ -30,7 +30,6 @@
 
 #include "radiobcast/grid/adjacency.h"
 #include "radiobcast/grid/metric.h"
-#include "radiobcast/grid/neighborhood.h"
 #include "radiobcast/grid/torus.h"
 #include "radiobcast/net/backend.h"
 #include "radiobcast/net/channel.h"

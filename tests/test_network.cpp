@@ -453,6 +453,10 @@ TEST(Adjacency, IrregularRowsComeBackInOrder) {
               rows[static_cast<std::size_t>(v)])
         << "row " << v;
   }
+  rows[5].push_back(40);
+  EXPECT_THROW(Adjacency{rows}, std::invalid_argument);
+  rows[5].back() = -1;
+  EXPECT_THROW(Adjacency{rows}, std::invalid_argument);
 }
 
 TEST(Adjacency, TorusRowsAsListsMatchTorusBuild) {
