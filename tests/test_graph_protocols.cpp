@@ -213,15 +213,15 @@ std::string fault_list(const GraphFaultSet& faults) {
 }
 
 TEST(GraphGolden, ResultsMatchRecordedDigest) {
-  // The corpus: random connected graphs (GraphFuzz's generator, widened to
-  // 6-19 nodes and up to 3n chords) with t in {0, 1, 2} and a random legal
+  // The corpus: 100 random connected graphs (GraphFuzz's generator, widened
+  // to 6-19 nodes and up to 3n chords) with t in {0, 1, 2} and a random legal
   // placement; the separation graph under each legal placement; and the
   // r = 1 torus graph under both metrics, fault-free. Every graph runs under
   // CPA and RPA against silent and lying faults. Each random graph also
   // writes a line naming its size, edge count, t and faults, so the digest
   // pins the corpus as well as the results.
   std::string lines;
-  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
     Rng rng(hash_seeds(0x60D1, seed));
     const std::int32_t n = 6 + static_cast<std::int32_t>(rng.below(14));
     RadioGraph g(n);
@@ -265,7 +265,7 @@ TEST(GraphGolden, ResultsMatchRecordedDigest) {
     append_runs(lines, l2 ? "torus l2" : "torus linf", g, 0, 1, no_faults(g));
   }
   EXPECT_EQ(sha256_hex(lines),
-            "dc878f9ae602a06aacd92f5abfbd9921ea54270b6389e9cca4429807397074db");
+            "79dbbbcd9691d885a5c88a4158373db93c8ef29117d7105a5c0d8b49eb24effd");
 }
 
 }  // namespace
