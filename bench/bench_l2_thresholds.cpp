@@ -97,8 +97,9 @@ int main() {
                "checkerboard worst nbd", "0.3 pi r^2"});
   for (std::int32_t r = 2; r <= 6; ++r) {
     const Torus torus(8 * r + 4, 8 * r + 4);
-    const FaultSet full = full_strip(torus, 4 * r, r, {0, 0});
-    const FaultSet half = checkerboard_strip(torus, 4 * r, r, 0, {0, 0});
+    FaultSet full, half;
+    place_band(full, torus, full_band(r), 4 * r, {0, 0});
+    place_band(half, torus, checkerboard_band(torus, 4 * r, r), 4 * r, {0, 0});
     fig13.row()
         .cell(std::to_string(r))
         .cell(max_closed_nbd_faults(torus, full, r, Metric::kL2))

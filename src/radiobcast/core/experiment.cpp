@@ -28,19 +28,10 @@ std::optional<PlacementKind> placement_from_string(std::string_view name) {
   return std::nullopt;
 }
 
-namespace {
-
-void merge_faults(FaultSet& into, const Torus& torus, const FaultSet& from) {
-  for (const Coord c : from.sorted()) into.add(torus, c);
-}
-
-}  // namespace
-
 FaultSet make_faults(const PlacementConfig& placement, const Torus& torus,
                      std::int32_t r, Metric m, std::int64_t t, Coord source,
                      Rng& rng) {
-  // Strips r wide at x = W/4 and 3W/4; a punctured strip loses one node
-  // every 2r + 1 rows.
+  // Strip presets: one band r wide at x = W/4 and one at 3W/4.
   const std::int32_t positions[] = {torus.width() / 4, 3 * torus.width() / 4};
 
   FaultSet out;
@@ -49,19 +40,17 @@ FaultSet make_faults(const PlacementConfig& placement, const Torus& torus,
       break;
     case PlacementKind::kFullStrip:
       for (const std::int32_t x : positions) {
-        merge_faults(out, torus, full_strip(torus, x, r, source));
+        place_band(out, torus, full_band(r), x, source);
       }
       break;
     case PlacementKind::kPuncturedStrip:
       for (const std::int32_t x : positions) {
-        merge_faults(out, torus,
-                     punctured_strip(torus, x, r, 2 * r + 1, source));
+        place_band(out, torus, punctured_band(r), x, source);
       }
       break;
     case PlacementKind::kCheckerboardStrip:
       for (const std::int32_t x : positions) {
-        merge_faults(out, torus,
-                     checkerboard_strip(torus, x, r, /*parity=*/0, source));
+        place_band(out, torus, checkerboard_band(torus, x, r), x, source);
       }
       break;
     case PlacementKind::kRandomBounded: {

@@ -6,10 +6,11 @@
 // On a torus the x-axis wraps, so the same cut requires *two* strips; placing
 // them half a torus apart keeps every closed neighborhood inside at most one
 // strip, leaving the per-neighborhood fault count identical to the single-
-// strip construction. All strip placements here therefore instantiate the
-// pattern at x = width/4 and x = 3*width/4, enclosing the region opposite
-// the source. Each strip is r columns wide, and a punctured strip loses one
-// node every 2r+1 rows.
+// strip construction. Each strip placement here therefore lays one preset
+// PeriodicBand (fault/placement.h) at x = width/4 and another at
+// x = 3*width/4, enclosing the region opposite the source. The bands are r
+// columns wide: full_band, punctured_band (one node fewer every 2r+1 rows)
+// and checkerboard_band (the cells with x + y even).
 
 #include <cstdint>
 #include <optional>

@@ -8,57 +8,53 @@
 
 namespace rbcast {
 
-namespace {
-
-void check_strip(const Torus& torus, std::int32_t width) {
-  if (width < 1 || width >= torus.width()) {
-    throw std::invalid_argument("strip width must be in [1, torus width)");
+void place_band(FaultSet& faults, const Torus& torus, const PeriodicBand& band,
+                std::int32_t x_lo, Coord exclude) {
+  if (band.width < 1 || band.width >= torus.width()) {
+    throw std::invalid_argument("band width must be in [1, torus width)");
   }
-}
-
-}  // namespace
-
-FaultSet full_strip(const Torus& torus, std::int32_t x_lo, std::int32_t width,
-                    Coord exclude) {
-  check_strip(torus, width);
-  FaultSet out;
+  if (band.period < 1) throw std::invalid_argument("band period must be >= 1");
+  if (band.mask.size() != static_cast<std::size_t>(band.width) *
+                              static_cast<std::size_t>(band.period)) {
+    throw std::invalid_argument("band mask must hold width * period cells");
+  }
   const Coord excl = torus.wrap(exclude);
-  for (std::int32_t dx = 0; dx < width; ++dx) {
-    for (std::int32_t y = 0; y < torus.height(); ++y) {
+  for (std::int32_t y = 0; y < torus.height(); ++y) {
+    const auto row = static_cast<std::size_t>(y % band.period) *
+                     static_cast<std::size_t>(band.width);
+    for (std::int32_t dx = 0; dx < band.width; ++dx) {
+      if (!band.mask[row + static_cast<std::size_t>(dx)]) continue;
       const Coord c = torus.wrap({x_lo + dx, y});
-      if (c == excl) continue;
-      out.add(torus, c);
+      if (c != excl) faults.add(torus, c);
     }
   }
-  return out;
 }
 
-FaultSet punctured_strip(const Torus& torus, std::int32_t x_lo,
-                         std::int32_t width, std::int32_t period,
-                         Coord exclude) {
-  if (period < 1) throw std::invalid_argument("puncture period must be >= 1");
-  FaultSet out = full_strip(torus, x_lo, width, exclude);
-  for (std::int32_t y = 0; y < torus.height(); y += period) {
-    out.remove(torus, {x_lo, y});
-  }
-  return out;
+PeriodicBand full_band(std::int32_t r) {
+  PeriodicBand band{r, 1, {}};
+  for (std::int32_t dx = 0; dx < r; ++dx) band.mask.push_back(true);
+  return band;
 }
 
-FaultSet checkerboard_strip(const Torus& torus, std::int32_t x_lo,
-                            std::int32_t width, std::int32_t parity,
-                            Coord exclude) {
-  check_strip(torus, width);
-  FaultSet out;
-  const Coord excl = torus.wrap(exclude);
-  for (std::int32_t dx = 0; dx < width; ++dx) {
-    for (std::int32_t y = 0; y < torus.height(); ++y) {
-      const Coord c = torus.wrap({x_lo + dx, y});
-      if (c == excl) continue;
-      if (((c.x + c.y) % 2 + 2) % 2 != parity) continue;
-      out.add(torus, c);
+PeriodicBand punctured_band(std::int32_t r) {
+  PeriodicBand band{r, 2 * r + 1, {}};
+  for (std::int32_t row = 0; row < band.period; ++row) {
+    for (std::int32_t dx = 0; dx < r; ++dx) {
+      band.mask.push_back(row != 0 || dx != 0);
     }
   }
-  return out;
+  return band;
+}
+
+PeriodicBand checkerboard_band(const Torus& torus, std::int32_t x_lo,
+                               std::int32_t r) {
+  PeriodicBand band{r, 2, {}};
+  for (std::int32_t row = 0; row < 2; ++row) {
+    for (std::int32_t dx = 0; dx < r; ++dx) {
+      band.mask.push_back((torus.wrap({x_lo + dx, 0}).x + row) % 2 == 0);
+    }
+  }
+  return band;
 }
 
 FaultSet random_bounded(const Torus& torus, std::int32_t r, Metric m,

@@ -2,17 +2,22 @@
 // Adversarial and randomized fault placement strategies.
 //
 // The theorems quantify over *all* placements respecting the local bound t,
-// so the benchmarks exercise the extremal constructions from the proofs:
+// so the benchmarks exercise the extremal constructions from the proofs.
+// Each barrier construction is a PeriodicBand, one mask repeated down the
+// torus, and place_band lays any band at any column. Three preset bands:
 //
-//  * full_strip        — Theorem 4 / Fig 8: a width-r vertical strip of faults
+//  * full_band         — Theorem 4 / Fig 8: a width-r vertical strip of faults
 //                        has exactly r(2r+1) faults in the worst closed
 //                        neighborhood and partitions the torus for crash-stop.
-//  * punctured_strip   — the same strip with one node removed every `period`
+//  * punctured_band    — the same strip with one node removed every 2r+1
 //                        rows: the densest legal barrier at t = r(2r+1) - 1.
-//  * checkerboard_strip— Koo's Byzantine impossibility arrangement (Fig 13
+//  * checkerboard_band — Koo's Byzantine impossibility arrangement (Fig 13
 //                        adapted to L∞): half-density strip; the worst closed
 //                        neighborhood contains exactly ceil(r(2r+1)/2) faults,
 //                        which is precisely the impossibility budget.
+//
+// and the generic adversaries:
+//
 //  * random_bounded    — repeatedly draws uniform nodes and keeps those that
 //                        do not violate the bound (the "generic" adversary).
 //  * iid_faults        — each node fails independently with probability p_f
@@ -23,26 +28,45 @@
 //                        sub-pattern our greedy finds.
 
 #include <cstdint>
+#include <vector>
 
 #include "radiobcast/fault/fault_set.h"
 #include "radiobcast/util/rng.h"
 
 namespace rbcast {
 
-/// All nodes with x_lo <= x <= x_lo + width - 1 (all rows). Never includes
-/// `exclude` (the source).
-FaultSet full_strip(const Torus& torus, std::int32_t x_lo, std::int32_t width,
-                    Coord exclude);
+/// A fault pattern that repeats down the torus: `width` columns, and a mask
+/// of `period` rows of `width` cells each, row-major (mask[row * width + dx]
+/// is true where band column dx of mask row `row` is faulty).
+struct PeriodicBand {
+  std::int32_t width = 0;
+  std::int32_t period = 0;
+  std::vector<bool> mask;
+};
 
-/// full_strip minus the nodes (x_lo, y) with y % period == 0.
-FaultSet punctured_strip(const Torus& torus, std::int32_t x_lo,
-                         std::int32_t width, std::int32_t period,
-                         Coord exclude);
+/// Adds `band`'s faults to `faults` with its left column at x_lo: band column
+/// dx lies on torus column x_lo + dx (wrapping), and canonical row y reads
+/// mask row y mod period, counted from y = 0, so a period that does not
+/// divide the torus height leaves a seam where the rows wrap. Never adds
+/// `exclude` (the source). Throws std::invalid_argument, before adding
+/// anything, unless 1 <= width < torus width, period >= 1 and the mask holds
+/// width * period cells.
+void place_band(FaultSet& faults, const Torus& torus, const PeriodicBand& band,
+                std::int32_t x_lo, Coord exclude);
 
-/// Strip cells with (x + y) % 2 == parity.
-FaultSet checkerboard_strip(const Torus& torus, std::int32_t x_lo,
-                            std::int32_t width, std::int32_t parity,
-                            Coord exclude);
+/// r columns, every cell faulty (period 1).
+PeriodicBand full_band(std::int32_t r);
+
+/// r columns, period 2r + 1, every cell faulty but cell (0, 0): the band's
+/// left column loses the nodes in rows 0, 2r + 1, 2(2r + 1), ...
+PeriodicBand punctured_band(std::int32_t r);
+
+/// r columns, period 2, for a band whose left column is x_lo: the cells whose
+/// canonical coordinates (x, y) have x + y even. The mask depends on where
+/// the band goes: its phase follows the parity of x_lo, and a band that wraps
+/// past the last column of an odd-width torus changes phase there.
+PeriodicBand checkerboard_band(const Torus& torus, std::int32_t x_lo,
+                               std::int32_t r);
 
 /// Draws uniform random nodes, keeping each draw only if the local bound t
 /// still holds; stops after `target` accepted faults or when `attempts` draws

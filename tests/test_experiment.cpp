@@ -3,9 +3,37 @@
 #include <gtest/gtest.h>
 
 #include "radiobcast/core/analysis.h"
+#include "strip_reference.h"
 
 namespace rbcast {
 namespace {
+
+/// A strip preset as make_faults places it, untrimmed.
+FaultSet strip_preset(PlacementKind kind, const Torus& torus, std::int32_t r,
+                      Coord source) {
+  PlacementConfig placement;
+  placement.kind = kind;
+  placement.trim = false;
+  Rng rng(1);
+  return make_faults(placement, torus, r, Metric::kLInf, /*t=*/0, source, rng);
+}
+
+/// The same preset from the old strip generators: one strip at W/4 and one
+/// at 3W/4, the second merged into the first.
+FaultSet reference_preset(PlacementKind kind, const Torus& torus,
+                          std::int32_t r, Coord source) {
+  FaultSet out;
+  for (const std::int32_t x : {torus.width() / 4, 3 * torus.width() / 4}) {
+    const FaultSet strip =
+        kind == PlacementKind::kFullStrip
+            ? strip_reference::full_strip(torus, x, r, source)
+        : kind == PlacementKind::kPuncturedStrip
+            ? strip_reference::punctured_strip(torus, x, r, 2 * r + 1, source)
+            : strip_reference::checkerboard_strip(torus, x, r, 0, source);
+    for (const Coord c : strip.sorted()) out.add(torus, c);
+  }
+  return out;
+}
 
 TEST(MakeFaults, NonePlacesNothing) {
   const Torus torus(20, 20);
@@ -54,6 +82,58 @@ TEST(MakeFaults, CheckerboardIsLegalAtImpossibilityBudgetUntrimmed) {
                                  byz_linf_impossible_min(2), {0, 0}, rng);
   EXPECT_EQ(max_closed_nbd_faults(torus, f, 2, Metric::kLInf),
             byz_linf_impossible_min(2));
+}
+
+TEST(MakeFaults, StripPresetsMatchOldGenerators) {
+  // Every W in [r + 1, 44] (below 4r + 2 the strips can overlap, and on an
+  // odd width the second one can wrap past the last column) and every H in
+  // [4r + 2, 44], with the source at (0, 0), in the first strip's last
+  // column and last row, and on the second strip's punctured cell.
+  int cases = 0;
+  int mixed_parity = 0;  // tori whose two strips start on columns of
+                         // different parity
+  for (std::int32_t r = 1; r <= 5; ++r) {
+    for (std::int32_t w = r + 1; w <= 44; ++w) {
+      for (std::int32_t h = 4 * r + 2; h <= 44; ++h) {
+        const Torus torus(w, h);
+        if ((w / 4) % 2 != (3 * w / 4) % 2) ++mixed_parity;
+        const Coord sources[] = {
+            {0, 0}, {w / 4 + r - 1, h - 1}, {3 * w / 4, 0}};
+        for (const Coord source : sources) {
+          for (const PlacementKind kind :
+               {PlacementKind::kFullStrip, PlacementKind::kPuncturedStrip,
+                PlacementKind::kCheckerboardStrip}) {
+            EXPECT_EQ(strip_preset(kind, torus, r, source).sorted(),
+                      reference_preset(kind, torus, r, source).sorted())
+                << to_string(kind) << " r=" << r << " " << w << "x" << h
+                << " source=(" << source.x << "," << source.y << ")";
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 57555);
+  EXPECT_GT(mixed_parity, 0);
+}
+
+TEST(MakeFaults, CheckerboardPhaseFollowsEachStripsColumn) {
+  // W = 10, r = 2: the strips start at columns 2 and 7, of different parity.
+  // Both keep the cells with x + y even, so a mask whose phase ignored its
+  // column would fault (7, 0) and spare (7, 1).
+  const Torus torus(10, 12);
+  const FaultSet f =
+      strip_preset(PlacementKind::kCheckerboardStrip, torus, 2, {0, 0});
+  EXPECT_EQ(f.sorted(),
+            reference_preset(PlacementKind::kCheckerboardStrip, torus, 2,
+                             {0, 0})
+                .sorted());
+  EXPECT_EQ(f.size(), 24u);  // two strips of 2 x 12, half of each
+  EXPECT_TRUE(f.contains({2, 0}));
+  EXPECT_TRUE(f.contains({3, 1}));
+  EXPECT_TRUE(f.contains({7, 1}));
+  EXPECT_FALSE(f.contains({7, 0}));
+  EXPECT_TRUE(f.contains({8, 0}));
 }
 
 TEST(MakeFaults, IidUsesProbability) {

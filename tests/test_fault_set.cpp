@@ -8,6 +8,7 @@
 
 #include "radiobcast/fault/placement.h"
 #include "radiobcast/grid/neighborhood.h"
+#include "strip_reference.h"
 
 namespace rbcast {
 namespace {
@@ -166,9 +167,10 @@ TEST(LocalBound, MatchesWholeTorusCount) {
           iid_faults(torus, 1.0, rng, source),
       };
       if (s.width >= 3) {
-        patterns.push_back(full_strip(torus, s.width - 1, 2, source));
         patterns.push_back(
-            checkerboard_strip(torus, s.width - 1, 2, 1, source));
+            strip_reference::full_strip(torus, s.width - 1, 2, source));
+        patterns.push_back(strip_reference::checkerboard_strip(
+            torus, s.width - 1, 2, 1, source));
       }
       for (std::size_t p = 0; p < patterns.size(); ++p) {
         EXPECT_EQ(max_closed_nbd_faults(torus, patterns[p], s.r, m),

@@ -14,6 +14,14 @@ namespace {
 
 constexpr Coord kSource{0, 0};
 
+/// `band` alone, with its left column at x_lo.
+FaultSet band_at(const Torus& torus, const PeriodicBand& band,
+                 std::int32_t x_lo) {
+  FaultSet out;
+  place_band(out, torus, band, x_lo, kSource);
+  return out;
+}
+
 /// The whole-torus form of trim_to_budget, the reference its scan of the
 /// centers near a fault must match: before each removal, count the closed
 /// neighborhood of every center of the torus and take the first worst one in
@@ -103,7 +111,7 @@ FaultSet random_bounded_reference(const Torus& torus, std::int32_t r,
 
 TEST(Placement, FullStripCoversAllRows) {
   const Torus torus(20, 20);
-  const FaultSet f = full_strip(torus, 8, 2, kSource);
+  const FaultSet f = band_at(torus, full_band(2), 8);
   EXPECT_EQ(f.size(), 40u);
   EXPECT_TRUE(f.contains({8, 0}));
   EXPECT_TRUE(f.contains({9, 19}));
@@ -112,7 +120,7 @@ TEST(Placement, FullStripCoversAllRows) {
 
 TEST(Placement, FullStripExcludesSource) {
   const Torus torus(20, 20);
-  const FaultSet f = full_strip(torus, 0, 2, kSource);
+  const FaultSet f = band_at(torus, full_band(2), 0);
   EXPECT_FALSE(f.contains({0, 0}));
   EXPECT_EQ(f.size(), 39u);
 }
@@ -120,7 +128,7 @@ TEST(Placement, FullStripExcludesSource) {
 TEST(Placement, FullStripWorstNeighborhoodIsExactlyTheorem4) {
   for (std::int32_t r = 1; r <= 3; ++r) {
     const Torus torus(8 * r + 4, 8 * r + 4);
-    const FaultSet f = full_strip(torus, 4 * r, r, kSource);
+    const FaultSet f = band_at(torus, full_band(r), 4 * r);
     EXPECT_EQ(max_closed_nbd_faults(torus, f, r, Metric::kLInf),
               r_2r_plus_1(r))
         << "r=" << r;
@@ -130,8 +138,7 @@ TEST(Placement, FullStripWorstNeighborhoodIsExactlyTheorem4) {
 TEST(Placement, PuncturedStripSatisfiesBoundJustBelowTheorem4) {
   for (std::int32_t r = 1; r <= 3; ++r) {
     const Torus torus(8 * r + 4, (2 * r + 1) * 4);  // height multiple of period
-    const FaultSet f =
-        punctured_strip(torus, 4 * r, r, 2 * r + 1, kSource);
+    const FaultSet f = band_at(torus, punctured_band(r), 4 * r);
     EXPECT_EQ(max_closed_nbd_faults(torus, f, r, Metric::kLInf),
               r_2r_plus_1(r) - 1)
         << "r=" << r;
@@ -140,7 +147,7 @@ TEST(Placement, PuncturedStripSatisfiesBoundJustBelowTheorem4) {
 
 TEST(Placement, PuncturedStripRemovesExpectedNodes) {
   const Torus torus(20, 20);
-  const FaultSet f = punctured_strip(torus, 8, 2, 5, kSource);
+  const FaultSet f = band_at(torus, punctured_band(2), 8);
   EXPECT_FALSE(f.contains({8, 0}));
   EXPECT_FALSE(f.contains({8, 5}));
   EXPECT_TRUE(f.contains({8, 1}));
@@ -149,7 +156,7 @@ TEST(Placement, PuncturedStripRemovesExpectedNodes) {
 
 TEST(Placement, CheckerboardStripIsHalfDensity) {
   const Torus torus(20, 20);
-  const FaultSet f = checkerboard_strip(torus, 8, 2, 0, kSource);
+  const FaultSet f = band_at(torus, checkerboard_band(torus, 8, 2), 8);
   EXPECT_EQ(f.size(), 20u);  // half of 40
   for (const Coord c : f.sorted()) {
     EXPECT_EQ((c.x + c.y) % 2, 0);
@@ -164,7 +171,8 @@ TEST(Placement, CheckerboardWorstNeighborhoodIsKooImpossibilityBudget) {
   // Byzantine impossibility budget.
   for (std::int32_t r = 1; r <= 4; ++r) {
     const Torus torus(8 * r + 4, 8 * r + 4);
-    const FaultSet f = checkerboard_strip(torus, 4 * r, r, 0, kSource);
+    const FaultSet f =
+        band_at(torus, checkerboard_band(torus, 4 * r, r), 4 * r);
     EXPECT_EQ(max_closed_nbd_faults(torus, f, r, Metric::kLInf),
               byz_linf_impossible_min(r))
         << "r=" << r;
@@ -172,16 +180,28 @@ TEST(Placement, CheckerboardWorstNeighborhoodIsKooImpossibilityBudget) {
 }
 
 TEST(Placement, StripWidthValidation) {
+  // A malformed band throws before it adds a fault.
   const Torus torus(10, 10);
-  EXPECT_THROW(full_strip(torus, 0, 0, kSource), std::invalid_argument);
-  EXPECT_THROW(full_strip(torus, 0, 10, kSource), std::invalid_argument);
-  EXPECT_THROW(punctured_strip(torus, 0, 2, 0, kSource),
-               std::invalid_argument);
+  const std::vector<PeriodicBand> malformed = {
+      full_band(0),                        // width 0
+      full_band(10),                       // width = torus width
+      punctured_band(0),                   // width 0
+      {2, 0, {}},                          // period 0
+      {2, 1, std::vector<bool>(3, true)},  // 3 cells for a 2 x 1 mask
+      {2, 3, std::vector<bool>(5, true)},  // 5 cells for a 2 x 3 mask
+  };
+  for (std::size_t i = 0; i < malformed.size(); ++i) {
+    FaultSet f(torus, {{5, 5}});
+    EXPECT_THROW(place_band(f, torus, malformed[i], 0, kSource),
+                 std::invalid_argument)
+        << "band " << i;
+    EXPECT_EQ(f.sorted(), (std::vector<Coord>{{5, 5}})) << "band " << i;
+  }
 }
 
 TEST(Placement, StripWrapsAcrossSeam) {
   const Torus torus(10, 10);
-  const FaultSet f = full_strip(torus, 9, 2, kSource);  // columns 9 and 0
+  const FaultSet f = band_at(torus, full_band(2), 9);  // columns 9 and 0
   EXPECT_TRUE(f.contains({9, 5}));
   EXPECT_TRUE(f.contains({0, 5}));
   EXPECT_FALSE(f.contains({0, 0}));  // the source
@@ -285,7 +305,7 @@ TEST(Placement, IidExtremes) {
 TEST(Placement, TrimToBudgetRepairsOverBudgetPatterns) {
   const std::int32_t r = 2;
   const Torus torus(20, 20);
-  FaultSet f = full_strip(torus, 8, r, kSource);  // worst nbd = r(2r+1) = 10
+  FaultSet f = band_at(torus, full_band(r), 8);  // worst nbd = r(2r+1) = 10
   trim_to_budget(f, torus, r, Metric::kLInf, 7);
   EXPECT_LE(max_closed_nbd_faults(torus, f, r, Metric::kLInf), 7);
   EXPECT_GT(f.size(), 0u);
@@ -305,9 +325,9 @@ TEST(Placement, TrimToBudgetMatchesWholeTorusScan) {
     for (const Metric m : {Metric::kLInf, Metric::kL2}) {
       Rng rng(static_cast<std::uint64_t>(10 * r + static_cast<int>(m)));
       const std::vector<FaultSet> patterns = {
-          full_strip(torus, 2, r, kSource),
-          punctured_strip(torus, 2, r, 2 * r + 1, kSource),
-          checkerboard_strip(torus, 2, r + 1, 0, kSource),
+          band_at(torus, full_band(r), 2),
+          band_at(torus, punctured_band(r), 2),
+          band_at(torus, checkerboard_band(torus, 2, r + 1), 2),
           iid_faults(torus, 0.4, rng, kSource),
       };
       const std::int64_t full = r_2r_plus_1(r);
