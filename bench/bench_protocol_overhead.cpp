@@ -55,7 +55,7 @@ int main() {
           .cell(res.transmissions)
           .cell(tx / nodes, 2)
           .cell(res.payload_units)
-          .cell(res.deliveries)
+          .cell(res.counters.envelopes_delivered)
           .cell(res.success());
       if (!res.success()) shape_ok = false;
       switch (kind) {

@@ -237,7 +237,6 @@ SimResult run_simulation(const SimConfig& cfg, const FaultSet& faults,
   result.timers.rounds_seconds = stopwatch.lap();
   result.reached_quiescence = net.quiescent();
   result.transmissions = net.stats().transmissions;
-  result.deliveries = net.stats().deliveries;
   result.payload_units = net.stats().payload_units;
   result.counters = net.counters();
 

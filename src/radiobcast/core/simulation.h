@@ -120,7 +120,6 @@ struct SimResult {
   std::int64_t rounds = 0;
   bool reached_quiescence = false;
   std::uint64_t transmissions = 0;
-  std::uint64_t deliveries = 0;
   std::uint64_t payload_units = 0;  // see TrafficStats::payload_units
   /// Observability counters of the run (deterministic given the seed).
   Counters counters;

@@ -269,7 +269,6 @@ void RadioNetwork::run_round() {
       // A channel honoring always_delivers() consumes no randomness and a
       // null trace emits nothing, so the per-receiver checks collapse to
       // bulk counter updates plus the dispatch.
-      stats_.deliveries += receivers.size();
       counters_.envelopes_delivered += receivers.size();
       for (const std::int32_t ri : receivers) dispatch(ri, env, class_flag);
     } else {
@@ -278,11 +277,9 @@ void RadioNetwork::run_round() {
         // envelope claims a spoofed identity.
         const Coord receiver = node_coords_[static_cast<std::size_t>(ri)];
         if (!channel_->delivers(p.actual_sender, receiver, rng_)) {
-          stats_.drops += 1;
           counters_.envelopes_dropped += 1;
           continue;
         }
-        stats_.deliveries += 1;
         counters_.envelopes_delivered += 1;
         if (trace_ != nullptr) {
           TraceEvent e;

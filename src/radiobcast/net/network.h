@@ -41,11 +41,10 @@
 
 namespace rbcast {
 
-/// Per-network traffic statistics.
+/// Per-network traffic statistics. Per-receiver deliveries and channel drops
+/// are Counters::envelopes_delivered and envelopes_dropped.
 struct TrafficStats {
   std::uint64_t transmissions = 0;  // broadcast() calls that were delivered
-  std::uint64_t deliveries = 0;     // per-receiver envelope deliveries
-  std::uint64_t drops = 0;          // deliveries suppressed by the channel
   /// Total payload transmitted, in coordinate-sized units: a COMMITTED costs
   /// 2 (origin + value rounded up), a HEARD costs 2 + |relayers|. Captures
   /// the fact that indirect reports carry whole paths, so "communication

@@ -79,8 +79,8 @@ TEST(Network, ChannelDropsAreCounted) {
   net.start();
   net.run_round();
   EXPECT_EQ(net.stats().transmissions, 1u);
-  EXPECT_EQ(net.stats().deliveries, 0u);
-  EXPECT_EQ(net.stats().drops, 8u);
+  EXPECT_EQ(net.counters().envelopes_delivered, 0u);
+  EXPECT_EQ(net.counters().envelopes_dropped, 8u);
 }
 
 TEST(Network, RetransmissionsRepeatAcrossRounds) {
@@ -97,7 +97,7 @@ TEST(Network, RetransmissionsRepeatAcrossRounds) {
   const auto rounds = net.run_until_quiescent(100);
   EXPECT_EQ(rounds, 3);  // one delivery round per copy
   EXPECT_EQ(net.stats().transmissions, 3u);
-  EXPECT_EQ(net.stats().deliveries, 24u);
+  EXPECT_EQ(net.counters().envelopes_delivered, 24u);
   const auto* counter = dynamic_cast<const Counter*>(net.behavior({4, 5}));
   EXPECT_EQ(counter->received, 3);
 }

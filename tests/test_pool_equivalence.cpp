@@ -66,7 +66,6 @@ SimResult run_per_node(const SimConfig& cfg, const FaultSet& faults,
   result.rounds = net.run_until_quiescent(bound);
   result.reached_quiescence = net.quiescent();
   result.transmissions = net.stats().transmissions;
-  result.deliveries = net.stats().deliveries;
   result.payload_units = net.stats().payload_units;
   result.counters = net.counters();
   result.outcomes.assign(static_cast<std::size_t>(torus.node_count()),
@@ -117,7 +116,6 @@ void expect_identical(const SimConfig& cfg, const FaultSet& faults,
   EXPECT_EQ(a.rounds, b.rounds) << tag;
   EXPECT_EQ(a.reached_quiescence, b.reached_quiescence) << tag;
   EXPECT_EQ(a.transmissions, b.transmissions) << tag;
-  EXPECT_EQ(a.deliveries, b.deliveries) << tag;
   EXPECT_EQ(a.payload_units, b.payload_units) << tag;
   EXPECT_EQ(a.outcomes, b.outcomes) << tag;
   EXPECT_EQ(a.commit_rounds, b.commit_rounds) << tag;

@@ -203,7 +203,7 @@ TEST(Regression, GoldenTransmissionCounts) {
   cfg.protocol = ProtocolKind::kCrashFlood;
   const auto crash = run_simulation(cfg, FaultSet{});
   EXPECT_EQ(crash.transmissions, 144u);  // one broadcast per node
-  EXPECT_EQ(crash.deliveries, 144u * 8u);
+  EXPECT_EQ(crash.counters.envelopes_delivered, 144u * 8u);
   EXPECT_EQ(crash.rounds, 7);  // 6 wave hops + a drain round
 
   cfg.protocol = ProtocolKind::kBvTwoHop;
