@@ -17,9 +17,9 @@ namespace rbcast {
 
 class NeighborhoodTable {
  public:
-  /// Returns the cached table for (r, m). Thread-compatible (construct-once,
-  /// read-many); the cache itself is populated lazily and is not synchronized,
-  /// matching the single-threaded simulator.
+  /// Returns the cached table for (r, m), built on first use. Thread-safe: a
+  /// mutex covers the lookup and the build, and a built table never changes
+  /// or moves.
   static const NeighborhoodTable& get(std::int32_t r, Metric m);
 
   std::int32_t radius() const { return r_; }

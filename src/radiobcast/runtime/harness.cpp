@@ -92,12 +92,6 @@ RuntimeResult run_scenario_threads(
     const std::function<void(RuntimeNode::Options&)>& tweak) {
   const Torus torus(scenario.sim.width, scenario.sim.height);
   const std::int64_t n = torus.node_count();
-  // Pre-warm the process-wide geometry caches on this thread: the
-  // NeighborhoodTable cache is populated lazily without synchronization, so
-  // it must be resolved before node threads race into it.
-  const NeighborhoodTable& table =
-      NeighborhoodTable::get(scenario.sim.r, scenario.sim.metric);
-  (void)Adjacency::get(torus, table);
 
   // Bind every socket first (ephemeral ports), then tell everyone about
   // everyone: the peer table must be complete before any node transmits.
@@ -125,19 +119,6 @@ RuntimeResult run_scenario_threads(
     for (UdpTransport* t : udp) t->set_peers(ports);
   }
 
-  // Chaos wrappers are per-node and live outside the restart loop, so a
-  // restarted node keeps the same datagram-fate stream and cumulative stats.
-  std::vector<std::unique_ptr<ChaosTransport>> chaos;
-  if (scenario.chaos.enabled()) {
-    const ChaosOptions chaos_options = make_chaos_options(scenario);
-    chaos.reserve(static_cast<std::size_t>(n));
-    for (std::int64_t i = 0; i < n; ++i) {
-      chaos.push_back(std::make_unique<ChaosTransport>(
-          static_cast<std::uint32_t>(i), *transports[static_cast<std::size_t>(i)],
-          chaos_options));
-    }
-  }
-
   std::vector<RuntimeVerdict> verdicts(static_cast<std::size_t>(n));
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(n));
@@ -150,14 +131,24 @@ RuntimeResult run_scenario_threads(
         RuntimeNode::Options opts =
             node_options(scenario, static_cast<std::int32_t>(i));
         if (tweak) tweak(opts);
-        Transport& transport =
-            chaos.empty() ? static_cast<Transport&>(*transports[idx])
-                          : static_cast<Transport&>(*chaos[idx]);
         const bool can_restart =
             scenario.restart_after_ms >= 0 && !opts.snapshot_path.empty();
         for (;;) {
-          RuntimeNode node(opts, transport);
+          // One chaos wrapper per incarnation, as radiobcast-node builds one
+          // per process: a restarted node's datagram-fate stream starts over,
+          // and its chaos_* counters cover its last incarnation, as
+          // packets_sent does.
+          std::unique_ptr<ChaosTransport> chaos;
+          Transport* transport = transports[idx].get();
+          if (scenario.chaos.enabled()) {
+            chaos = std::make_unique<ChaosTransport>(
+                static_cast<std::uint32_t>(i), *transport,
+                make_chaos_options(scenario));
+            transport = chaos.get();
+          }
+          RuntimeNode node(opts, *transport);
           verdicts[idx] = node.run();
+          if (chaos) record_chaos(chaos->stats(), verdicts[idx].counters);
           if (!verdicts[idx].crashed || !can_restart) break;
           // Crash/restart recovery: relaunch this node from its snapshot.
           // The UDP socket stays bound, so peers keep retransmitting into it
@@ -167,9 +158,6 @@ RuntimeResult run_scenario_threads(
               std::chrono::milliseconds(scenario.restart_after_ms));
           opts.resume = true;
           opts.crash_at_round = -1;
-        }
-        if (!chaos.empty()) {
-          record_chaos(chaos[idx]->stats(), verdicts[idx].counters);
         }
       } catch (...) {
         const std::lock_guard<std::mutex> lock(error_mutex);

@@ -4,9 +4,8 @@
 // Two launch modes share all scoring code:
 //
 //  * run_scenario_threads — one std::thread per node, ephemeral UDP ports
-//    discovered after binding, caches pre-warmed before any thread starts
-//    (NeighborhoodTable's lazy cache is not synchronized). This is what the
-//    tests and benchmarks use: no subprocess machinery, real sockets.
+//    discovered after binding. This is what the tests and benchmarks use: no
+//    subprocess machinery, real sockets.
 //  * process mode — the radiobcast-runtime orchestrator fork/execs one
 //    radiobcast-node per node on fixed ports (scenario base_port + index);
 //    each child serializes its RuntimeVerdict into a per-node file that the
