@@ -36,12 +36,13 @@ if [[ "${quick}" -eq 1 ]]; then
   # The fast representative subset: round engine and its dispatch contract,
   # its adjacency rows and the graph runs it hosts, torus arithmetic,
   # simulation runner, campaign engine, observability layer, lying
-  # adversary, fault placement and the local-bound validator, the allocation
-  # bounds, the ignore declarations, the pool slot-view equivalence, and the
-  # counter schema's two readers (journal records, runtime verdict files).
-  # (~10% of full-suite wall time.)
+  # adversary, fault placement and make_faults' presets (the Placement prefix
+  # also matches PlacementKindNames), the local-bound validator, the
+  # allocation bounds, the ignore declarations, the pool slot-view
+  # equivalence, and the counter schema's two readers (journal records,
+  # runtime verdict files). (~10% of full-suite wall time.)
   ctest --test-dir "${build}" --output-on-failure -j "${jobs}" \
-    -R '^(Network|Adjacency|GraphNetwork|GraphCpa|GraphRpa|GraphGolden|Separation|RadioGraph|TorusGraph|Torus|Simulation|ThreadPool|Campaign|Counters|RoundTrace|PhaseTimers|Lying|Placement|LocalBound|AllocFreeDelivery|IgnoreMask|PoolEquivalence|Journal|Verdict)'
+    -R '^(Network|Adjacency|GraphNetwork|GraphCpa|GraphRpa|GraphGolden|Separation|RadioGraph|TorusGraph|Torus|Simulation|ThreadPool|Campaign|Counters|RoundTrace|PhaseTimers|Lying|Placement|MakeFaults|LocalBound|AllocFreeDelivery|IgnoreMask|PoolEquivalence|Journal|Verdict)'
 else
   ctest --test-dir "${build}" --output-on-failure -j "${jobs}"
 fi
